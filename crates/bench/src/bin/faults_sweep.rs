@@ -9,7 +9,6 @@
 
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_faults::{CompareWithFaulty, FaultPlan, FaultyClusterSim};
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_simcore::time::SimTime;
@@ -47,7 +46,9 @@ fn main() {
         ),
     ];
 
-    let baseline = TimedClusterSim::new(config(), seed, INTERVALS).run();
+    let baseline = FaultyClusterSim::new(config(), seed, INTERVALS, FaultPlan::empty(seed))
+        .run()
+        .timed;
 
     let mut table = Table::new([
         "Fault regime",

@@ -10,7 +10,7 @@
 
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::json::ToJson;
 use ecolb_trace::{DecisionLedgerView, RegimeTimeline, RingTracer};
 use ecolb_workload::generator::WorkloadSpec;
@@ -53,7 +53,9 @@ fn main() {
 
     let config = ClusterConfig::paper(servers, WorkloadSpec::paper_low_load());
     let mut tracer = RingTracer::new();
-    let report = TimedClusterSim::new(config, seed, intervals).run_traced(&mut tracer);
+    let report = FaultyClusterSim::new(config, seed, intervals, FaultPlan::empty(seed))
+        .run_traced(&mut tracer)
+        .timed;
 
     let id = format!("trace_seed{seed}");
     let snapshot = tracer.snapshot(&id, seed);

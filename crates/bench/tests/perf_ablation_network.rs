@@ -8,17 +8,21 @@
 use ecolb_bench::perf::time;
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_cluster::sim::TimedRunReport;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_workload::generator::WorkloadSpec;
 use std::hint::black_box;
 
 const LINKS_GBPS: [f64; 4] = [1.0, 10.0, 40.0, 100.0];
 
-fn run(link_gbps: f64, size: usize, intervals: u64) -> ecolb_cluster::sim::TimedRunReport {
+fn run(link_gbps: f64, size: usize, intervals: u64) -> TimedRunReport {
     let mut config = ClusterConfig::paper(size, WorkloadSpec::paper_high_load());
     config.migration.link_gbps = link_gbps;
-    TimedClusterSim::new(config, DEFAULT_SEED, intervals).run()
+    let empty = FaultPlan::empty(DEFAULT_SEED);
+    FaultyClusterSim::new(config, DEFAULT_SEED, intervals, empty)
+        .run()
+        .timed
 }
 
 #[test]

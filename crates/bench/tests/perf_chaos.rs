@@ -3,7 +3,7 @@
 //! The checker rides the tracer seam, so a checked run pays for (a) the
 //! per-interval state digest the cluster computes for digest-hungry
 //! tracers and (b) the checker's own bookkeeping. This smoke test times
-//! a checked fault-free run against the plain `TimedClusterSim` on the
+//! a checked fault-free run against the unchecked timed driver on the
 //! same seeds with the paired-median probe and asserts the overhead
 //! stays under the budget (~2 % measured, asserted at < 8 % so only a
 //! regression — not a noisy single-core host window — fails it), then
@@ -16,7 +16,7 @@
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_chaos::InvariantChecker;
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::report::Report;
 use ecolb_workload::generator::WorkloadSpec;
 
@@ -24,8 +24,9 @@ const SIZE: usize = 400;
 const INTERVALS: u64 = 40;
 const ROUNDS: u32 = 9;
 
-fn config() -> ClusterConfig {
-    ClusterConfig::paper(SIZE, WorkloadSpec::paper_low_load())
+fn sim(seed: u64) -> FaultyClusterSim {
+    let config = ClusterConfig::paper(SIZE, WorkloadSpec::paper_low_load());
+    FaultyClusterSim::new(config, seed, INTERVALS, FaultPlan::empty(seed))
 }
 
 #[test]
@@ -34,10 +35,10 @@ fn perf_chaos_checker_overhead() {
     let measured = paired_overhead(
         ROUNDS,
         DEFAULT_SEED,
-        |seed| TimedClusterSim::new(config(), seed, INTERVALS).run(),
+        |seed| sim(seed).run(),
         |seed| {
             let mut checker = InvariantChecker::new(SIZE as u32);
-            let report = TimedClusterSim::new(config(), seed, INTERVALS).run_traced(&mut checker);
+            let report = sim(seed).run_traced(&mut checker);
             assert!(checker.ok(), "fault-free run violated an invariant");
             assert_eq!(checker.digests_checked(), INTERVALS);
             report

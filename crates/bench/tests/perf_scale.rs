@@ -1,9 +1,10 @@
 //! Experiment SC: engine throughput over a cluster-size × horizon grid,
 //! with a CI-ratcheted regression gate.
 //!
-//! Each grid cell times a full `TimedClusterSim` run (best of a few
-//! repetitions) and reports **events/sec** (engine dispatch throughput)
-//! and **intervals/sec** (end-to-end simulation throughput). The numbers
+//! Each grid cell times a full fault-free timed run (`FaultyClusterSim`
+//! on an empty plan; best of a few repetitions) and reports
+//! **events/sec** (engine dispatch throughput) and **intervals/sec**
+//! (end-to-end simulation throughput). The numbers
 //! land in `BENCH_scale.json`, written both to `results/perf/` and
 //! mirrored at the repository root so the current throughput curve is
 //! visible without digging.
@@ -24,8 +25,8 @@
 
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_cluster::sim::TimedRunReport;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::report::Report;
 use ecolb_workload::generator::WorkloadSpec;
 use std::hint::black_box;
@@ -59,7 +60,9 @@ fn config(size: usize) -> ClusterConfig {
 }
 
 fn run_cell(size: usize, intervals: u64, seed: u64) -> TimedRunReport {
-    TimedClusterSim::new(config(size), seed, intervals).run()
+    FaultyClusterSim::new(config(size), seed, intervals, FaultPlan::empty(seed))
+        .run()
+        .timed
 }
 
 /// The fixed-work leg: a multiply-add dependency chain the optimizer

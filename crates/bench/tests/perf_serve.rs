@@ -9,7 +9,7 @@
 //!    of folding the regime penalty into the comparison key (~10 %
 //!    measured, asserted < 25 % so only a real regression — not a noisy
 //!    single-core host window — fails it).
-//! 2. **serving-layer cost** — `ServeSim` vs the plain `TimedClusterSim`
+//! 2. **serving-layer cost** — `ServeSim` vs the fault-free timed driver
 //!    on the same cluster config, reported as scalars only: the request
 //!    loop legitimately dwarfs the interval loop (hundreds of thousands
 //!    of arrivals against a handful of reallocation ticks), so a ratio
@@ -23,7 +23,7 @@
 
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::report::Report;
 use ecolb_serve::picker::PickerKind;
 use ecolb_serve::sim::{ServeConfig, ServeSim};
@@ -54,7 +54,7 @@ fn perf_serve_overhead() {
         ROUNDS,
         DEFAULT_SEED,
         |seed| {
-            TimedClusterSim::new(cluster(), seed, INTERVALS).run();
+            FaultyClusterSim::new(cluster(), seed, INTERVALS, FaultPlan::empty(seed)).run();
         },
         |seed| {
             ServeSim::new(serve(PickerKind::LeastLoaded), seed).run();

@@ -16,7 +16,7 @@
 
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::report::Report;
 use ecolb_trace::RingTracer;
 use ecolb_workload::generator::WorkloadSpec;
@@ -25,8 +25,9 @@ const SIZE: usize = 400;
 const INTERVALS: u64 = 40;
 const ROUNDS: u32 = 9;
 
-fn config() -> ClusterConfig {
-    ClusterConfig::paper(SIZE, WorkloadSpec::paper_low_load())
+fn sim(seed: u64) -> FaultyClusterSim {
+    let config = ClusterConfig::paper(SIZE, WorkloadSpec::paper_low_load());
+    FaultyClusterSim::new(config, seed, INTERVALS, FaultPlan::empty(seed))
 }
 
 #[test]
@@ -35,10 +36,10 @@ fn perf_trace_ring_tracer_overhead() {
     let measured = paired_overhead(
         ROUNDS,
         DEFAULT_SEED,
-        |seed| TimedClusterSim::new(config(), seed, INTERVALS).run(),
+        |seed| sim(seed).run(),
         |seed| {
             let mut tracer = RingTracer::new();
-            let report = TimedClusterSim::new(config(), seed, INTERVALS).run_traced(&mut tracer);
+            let report = sim(seed).run_traced(&mut tracer);
             (report, tracer.recorded())
         },
     );

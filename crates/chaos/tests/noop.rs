@@ -3,11 +3,13 @@
 //! A zero-intensity sweep must be *structurally* free: generation
 //! produces empty plans without constructing a single RNG stream, the
 //! fault layer draws nothing, the attached invariant checker only reads,
-//! and the resulting [`TimedRunReport`]s are byte-identical to plain
-//! fault-free runs — at any `par` fan-out width.
+//! and the resulting capacity reports are byte-identical to the
+//! engine-free [`Cluster::run`] of the same seed — at any `par` fan-out
+//! width.
 
 use ecolb_chaos::{generate_plan, sweep, ChaosScenario, SweepSummary};
-use ecolb_cluster::sim::{TimedClusterSim, TimedRunReport};
+use ecolb_cluster::cluster::{Cluster, ClusterRunReport};
+use ecolb_faults::FaultyClusterSim;
 use ecolb_metrics::json::ToJson;
 use ecolb_metrics::report::Report;
 
@@ -18,14 +20,13 @@ fn scenario() -> ChaosScenario {
     ChaosScenario::new(30, 8, 0.0)
 }
 
-fn render(r: &TimedRunReport, tag: &str) -> String {
+fn render(r: &ClusterRunReport, tag: &str) -> String {
     let mut rep = Report::new(format!("noop_{tag}"), 0);
-    rep.scalar("energy_j", r.base.energy.total_j())
-        .scalar("migrations", r.base.migrations as f64)
-        .scalar("events_processed", r.events_processed as f64)
-        .scalar("downtime_demand_seconds", r.downtime_demand_seconds)
-        .push_series(r.base.ratio_series.clone())
-        .push_series(r.base.sleeping_series.clone());
+    rep.scalar("energy_j", r.energy.total_j())
+        .scalar("migrations", r.migrations as f64)
+        .scalar("savings_fraction", r.savings_fraction())
+        .push_series(r.ratio_series.clone())
+        .push_series(r.sleeping_series.clone());
     ToJson::to_json(&rep)
 }
 
@@ -43,11 +44,11 @@ fn zero_intensity_plans_are_structurally_empty() {
 fn zero_intensity_sweep_is_byte_identical_at_any_thread_count() {
     let scenario = scenario();
 
-    // Fault-free baselines of the same `(seed, config, intervals)`.
-    let plain: Vec<TimedRunReport> = (0..PLANS)
+    // Engine-free baselines of the same `(seed, config, intervals)`.
+    let plain: Vec<ClusterRunReport> = (0..PLANS)
         .map(|index| {
             let plan = generate_plan(SEED, index, &scenario);
-            TimedClusterSim::new(scenario.config(), plan.seed, scenario.intervals).run()
+            Cluster::new(scenario.config(), plan.seed).run(scenario.intervals)
         })
         .collect();
 
@@ -71,14 +72,24 @@ fn zero_intensity_sweep_is_byte_identical_at_any_thread_count() {
         assert!(outcome.report.plan_was_empty, "plan {index} drew faults");
         assert_eq!(outcome.report.degradation.availability, 1.0);
         assert_eq!(outcome.report.degradation.lost_reports, 0);
-        // Byte-identical to the fault-free run: the checker observed
-        // every interval without perturbing one.
+        // The checker observed every interval without perturbing one:
+        // the whole report, event count included, equals the unchecked
+        // run's …
+        let unchecked = FaultyClusterSim::new(
+            scenario.config(),
+            outcome.plan.seed,
+            scenario.intervals,
+            outcome.plan.clone(),
+        )
+        .run();
+        assert_eq!(outcome.report, unchecked, "plan {index}: checker steered");
+        // … and its capacity report equals the engine-free baseline.
         assert_eq!(
-            &outcome.report.timed, plain,
+            &outcome.report.timed.base, plain,
             "plan {index}: checked run diverged from the fault-free baseline"
         );
         assert_eq!(
-            render(&outcome.report.timed, "chaos"),
+            render(&outcome.report.timed.base, "chaos"),
             render(plain, "chaos"),
             "plan {index}: rendered reports differ"
         );

@@ -32,6 +32,7 @@ use crate::mix::ServerMix;
 use crate::recovery::{FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
 use crate::scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 use crate::server::{Server, ServerId};
+use crate::sim::RunRecorder;
 use ecolb_energy::accounting::EnergyBreakdown;
 use ecolb_energy::regimes::{OperatingRegime, RegimeBoundaries, RegimeCensus};
 use ecolb_energy::sleep::SleepModel;
@@ -1092,31 +1093,12 @@ impl Cluster {
 
     /// Runs `intervals` reallocation intervals and assembles the report.
     pub fn run(&mut self, intervals: u64) -> ClusterRunReport {
-        let initial_census = self.census();
-        let mut sleeping = TimeSeries::new("sleeping_servers");
-        let mut load = TimeSeries::new("cluster_load");
-        for _ in 0..intervals {
+        let mut recorder = RunRecorder::new(self, intervals);
+        while !recorder.done() {
             self.run_interval();
-            let (asleep, frac) = self.interval_stats();
-            sleeping.push(asleep as f64);
-            load.push(frac);
+            recorder.record_interval(self);
         }
-        let elapsed = self.now.as_secs_f64();
-        ClusterRunReport {
-            initial_census,
-            final_census: self.census(),
-            ratio_series: self.ledger.ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
-            decision_totals: self.ledger.totals(),
-            migrations: self.migrations,
-            energy: self.energy(),
-            migration_energy_j: self.migration_energy_j,
-            reference_energy_j: self.reference_power_w * elapsed,
-            admission: self.admission.stats(),
-            saturation_violations: self.saturation_violations,
-            undesirable_server_intervals: self.undesirable_server_intervals,
-        }
+        recorder.finish(self)
     }
 }
 

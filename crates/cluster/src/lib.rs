@@ -14,7 +14,8 @@
 //! * [`balance`] — one round of the §4 regime protocol (shed, drain &
 //!   sleep, wake);
 //! * [`cluster`] — the reallocation-interval driver tying it together;
-//! * [`sim`] — the event-driven timed variant (migration/wake latencies);
+//! * [`sim`] — the run recorder every driver reports through, and the
+//!   timed-run report (migration/wake latencies);
 //! * [`admission`] — §3/§6 admission control with arrival streams;
 //! * [`instances`] — the flat instance snapshot the serving layer
 //!   (`ecolb-serve`) diffs into discovery change events;
@@ -69,4 +70,4 @@ pub use mix::ServerMix;
 pub use recovery::{FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
 pub use scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 pub use server::{Server, ServerId, ServerPowerSpec};
-pub use sim::{SimEvent, TimedClusterSim, TimedRunReport};
+pub use sim::{RunRecorder, TimedRunReport};

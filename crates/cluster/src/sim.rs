@@ -1,4 +1,5 @@
-//! Event-driven cluster simulation.
+//! Run recording: the one [`ClusterRunReport`] assembler, and the
+//! timing report of the event-driven cluster simulation.
 //!
 //! [`Cluster`] applies balancing decisions *logically* at interval
 //! boundaries: a migrated VM is removed from its donor and placed on its
@@ -6,46 +7,99 @@
 //! the right model for capacity questions, but it hides the paper's §3
 //! timing questions — *how much time it takes to migrate a VM* (question
 //! 8) and *to switch a sleeping server to a running state* (question 4).
+//! The timed driver (`ecolb-faults`' `FaultyClusterSim`; a fault-free
+//! timed run is that driver on an empty plan) replays every interval's
+//! migrations and wakes as engine events and reports the resulting
+//! service interruption in a [`TimedRunReport`].
 //!
-//! [`TimedClusterSim`] runs the same cluster on the discrete-event engine
-//! of `ecolb-simcore`, scheduling one event per reallocation tick, per VM
-//! arrival, and per wake completion. The capacity decisions are identical
-//! to the synchronous cluster by construction (it drives the same
-//! [`Cluster`]); what the timed layer adds is the **service-interruption
-//! accounting**: while a VM image is on the wire its application does not
-//! execute, and until a woken server reaches C0 its capacity is
-//! unavailable. Both show up in the [`TimedRunReport`].
+//! Every driver — [`Cluster::run`], the timed driver and the serving
+//! co-simulation — counts its intervals down and samples its series
+//! through a [`RunRecorder`], the only code that builds a
+//! [`ClusterRunReport`].
 
-use crate::balance::MigrationRecord;
-use crate::cluster::{Cluster, ClusterConfig, ClusterRunReport};
-use crate::recovery::NoFaults;
-use crate::server::ServerId;
+use crate::cluster::{Cluster, ClusterRunReport};
+use ecolb_energy::regimes::RegimeCensus;
 use ecolb_metrics::summary::OnlineStats;
-use ecolb_simcore::engine::{Control, Engine, RunOutcome};
-use ecolb_simcore::time::{SimDuration, SimTime};
-use ecolb_trace::{NoTrace, Tracer};
-use ecolb_workload::application::AppId;
+use ecolb_metrics::timeseries::TimeSeries;
+use ecolb_simcore::engine::{Control, Scheduler};
+use ecolb_trace::Tracer;
 
-/// Events of the timed cluster simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimEvent {
-    /// End of a reallocation interval: demand evolution + balancing.
-    ReallocationTick,
-    /// A migrated VM image finished its transfer and starts executing on
-    /// the receiver.
-    MigrationArrive {
-        /// The application whose VM arrived.
-        app: AppId,
-        /// The receiving server.
-        to: ServerId,
-        /// Demand that was suspended while in flight.
-        demand: f64,
-    },
-    /// A sleeping server ordered awake reaches C0.
-    WakeComplete {
-        /// The server that finished waking.
-        server: ServerId,
-    },
+/// Records one cluster run: the initial census, the per-interval
+/// sleeping/load series and the interval countdown.
+#[derive(Debug, Clone)]
+pub struct RunRecorder {
+    initial_census: RegimeCensus,
+    sleeping: TimeSeries,
+    load: TimeSeries,
+    intervals_left: u64,
+}
+
+impl RunRecorder {
+    /// Starts recording a run of `intervals` reallocation intervals,
+    /// taking `cluster`'s census before any balancing.
+    pub fn new(cluster: &Cluster, intervals: u64) -> Self {
+        RunRecorder {
+            initial_census: cluster.census(),
+            sleeping: TimeSeries::new("sleeping_servers"),
+            load: TimeSeries::new("cluster_load"),
+            intervals_left: intervals,
+        }
+    }
+
+    /// Whether every interval has run. True from the start for a
+    /// zero-interval run, whose driver must schedule no tick at all.
+    pub fn done(&self) -> bool {
+        self.intervals_left == 0
+    }
+
+    /// Samples the series after an interval and counts it down.
+    pub(crate) fn record_interval(&mut self, cluster: &Cluster) {
+        let (asleep, frac) = cluster.interval_stats();
+        self.sleeping.push(asleep as f64);
+        self.load.push(frac);
+        self.intervals_left -= 1;
+    }
+
+    /// Closes a reallocation tick of an engine-driven run: records the
+    /// interval, schedules the next tick while intervals remain, and
+    /// otherwise stops once the last in-flight event has drained.
+    pub fn end_tick<E, T: Tracer>(
+        &mut self,
+        cluster: &Cluster,
+        sched: &mut Scheduler<'_, E, T>,
+        tick: E,
+    ) -> Control {
+        self.record_interval(cluster);
+        if !self.done() {
+            sched.schedule_in(cluster.config().realloc_interval, tick);
+            Control::Continue
+        } else if sched.pending() == 0 {
+            Control::Stop
+        } else {
+            Control::Continue
+        }
+    }
+
+    /// Assembles the run report from the recording and `cluster`'s
+    /// end-of-run state.
+    pub fn finish(self, cluster: &Cluster) -> ClusterRunReport {
+        let elapsed = cluster.now().as_secs_f64();
+        ClusterRunReport {
+            initial_census: self.initial_census,
+            final_census: cluster.census(),
+            ratio_series: cluster.ledger().ratio_series(),
+            sleeping_series: self.sleeping,
+            load_series: self.load,
+            decision_totals: cluster.ledger().totals(),
+            migrations: cluster.migrations(),
+            energy: cluster.energy(),
+            migration_energy_j: cluster.migration_energy_j(),
+            reference_energy_j: cluster.reference_power_w() * elapsed,
+            admission: cluster.admission_stats(),
+            saturation_violations: cluster.saturation_violations(),
+            undesirable_server_intervals: cluster.undesirable_server_intervals(),
+        }
+    }
 }
 
 /// Timing metrics collected on top of the capacity simulation.
@@ -104,266 +158,5 @@ impl TimedRunReport {
         } else {
             self.downtime_demand_seconds / self.base.ratio_series.len() as f64
         }
-    }
-}
-
-/// The event-driven wrapper.
-#[derive(Debug)]
-pub struct TimedClusterSim {
-    cluster: Cluster,
-    intervals: u64,
-}
-
-struct SimState {
-    cluster: Cluster,
-    intervals_left: u64,
-    realloc_interval: SimDuration,
-    downtime_demand_seconds: f64,
-    transfer_time_s: OnlineStats,
-    wake_latency_s: OnlineStats,
-    in_flight: usize,
-    max_in_flight: usize,
-    arrivals_seen: u64,
-    wakes_seen: u64,
-}
-
-impl TimedClusterSim {
-    /// Creates the simulation for `intervals` reallocation intervals.
-    pub fn new(config: ClusterConfig, seed: u64, intervals: u64) -> Self {
-        TimedClusterSim {
-            cluster: Cluster::new(config, seed),
-            intervals,
-        }
-    }
-
-    /// Runs to completion and returns the timing-augmented report.
-    pub fn run(self) -> TimedRunReport {
-        self.run_traced(&mut NoTrace)
-    }
-
-    /// [`TimedClusterSim::run`] with a tracer observing every engine
-    /// dispatch and every cluster interval. With [`NoTrace`] the run is
-    /// structurally identical to [`TimedClusterSim::run`] — same events,
-    /// same clock, byte-identical [`TimedRunReport`].
-    pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> TimedRunReport {
-        let realloc_interval = self.cluster.config().realloc_interval;
-        // Pre-size the queue for the tick plus a typical interval's burst
-        // of in-flight migration/wake events; the dispatch loop then never
-        // reallocates it.
-        let mut engine: Engine<SimEvent> = Engine::with_capacity(64);
-        engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);
-
-        let mut state = SimState {
-            cluster: self.cluster,
-            intervals_left: self.intervals,
-            realloc_interval,
-            downtime_demand_seconds: 0.0,
-            transfer_time_s: OnlineStats::new(),
-            wake_latency_s: OnlineStats::new(),
-            in_flight: 0,
-            max_in_flight: 0,
-            arrivals_seen: 0,
-            wakes_seen: 0,
-        };
-
-        // Series the base Cluster::run would have recorded.
-        let mut sleeping = ecolb_metrics::timeseries::TimeSeries::new("sleeping_servers");
-        let mut load = ecolb_metrics::timeseries::TimeSeries::new("cluster_load");
-        let initial_census = state.cluster.census();
-
-        let outcome = engine.run_traced(&mut state, tracer, |state, sched, event| {
-            match event {
-                SimEvent::ReallocationTick => {
-                    let now = sched.now();
-                    let outcome = state
-                        .cluster
-                        .run_interval_traced(&mut NoFaults, sched.tracer());
-                    let (asleep, frac) = state.cluster.interval_stats();
-                    sleeping.push(asleep as f64);
-                    load.push(frac);
-
-                    // Timed effects of this interval's decisions: every VM
-                    // transfer (scaling + protocol) becomes an arrival
-                    // event. `MigrationRecord` is `Copy`, so an index loop
-                    // sidesteps both the borrow conflict and the clone of
-                    // the whole record list.
-                    for r in 0..state.cluster.interval_migrations().len() {
-                        let rec = state.cluster.interval_migrations()[r];
-                        schedule_arrival(state, sched, &rec);
-                    }
-                    for &woken in &outcome.woken {
-                        if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at()
-                        {
-                            state.wake_latency_s.push((ready - now).as_secs_f64());
-                            sched.schedule_at(ready, SimEvent::WakeComplete { server: woken });
-                        }
-                    }
-
-                    state.intervals_left -= 1;
-                    if state.intervals_left > 0 {
-                        sched.schedule_in(state.realloc_interval, SimEvent::ReallocationTick);
-                        Control::Continue
-                    } else if sched.pending() == 0 {
-                        Control::Stop
-                    } else {
-                        Control::Continue // drain remaining arrivals/wakes
-                    }
-                }
-                SimEvent::MigrationArrive { .. } => {
-                    state.arrivals_seen += 1;
-                    state.in_flight -= 1;
-                    Control::Continue
-                }
-                SimEvent::WakeComplete { .. } => {
-                    // The wake is completed inside the next balance round
-                    // (the cluster checks matured wakes); the event exists
-                    // so the engine's clock observes the §3 latency.
-                    state.wakes_seen += 1;
-                    Control::Continue
-                }
-            }
-        });
-        debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
-
-        let elapsed = state.cluster.now().as_secs_f64();
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
-        };
-        TimedRunReport {
-            base,
-            downtime_demand_seconds: state.downtime_demand_seconds,
-            transfer_time_s: state.transfer_time_s,
-            wake_latency_s: state.wake_latency_s,
-            max_in_flight: state.max_in_flight,
-            events_processed: engine.events_processed(),
-        }
-    }
-}
-
-fn schedule_arrival<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut ecolb_simcore::engine::Scheduler<'_, SimEvent, T>,
-    rec: &MigrationRecord,
-) {
-    state.in_flight += 1;
-    state.max_in_flight = state.max_in_flight.max(state.in_flight);
-    let transfer = rec.cost.duration;
-    state.transfer_time_s.push(transfer.as_secs_f64());
-    state.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
-    sched.schedule_in(
-        transfer,
-        SimEvent::MigrationArrive {
-            app: rec.app,
-            to: rec.to,
-            demand: rec.demand,
-        },
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::migration::MigrationCostModel;
-    use ecolb_workload::generator::WorkloadSpec;
-
-    fn config(n: usize) -> ClusterConfig {
-        ClusterConfig::paper(n, WorkloadSpec::paper_low_load())
-    }
-
-    #[test]
-    fn timed_run_matches_synchronous_decisions() {
-        let sim = TimedClusterSim::new(config(60), 5, 12);
-        let timed = sim.run();
-        let mut sync = Cluster::new(config(60), 5);
-        let sync_report = sync.run(12);
-        assert_eq!(timed.base.ratio_series, sync_report.ratio_series);
-        assert_eq!(timed.base.decision_totals, sync_report.decision_totals);
-        assert_eq!(timed.base.final_census, sync_report.final_census);
-        assert_eq!(timed.base.migrations, sync_report.migrations);
-        assert!((timed.base.energy.total_j() - sync_report.energy.total_j()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn downtime_accrues_with_migrations() {
-        let timed = TimedClusterSim::new(config(80), 3, 15).run();
-        if timed.base.migrations > 0 {
-            assert!(timed.downtime_demand_seconds > 0.0);
-            assert!(timed.transfer_time_s.count() == timed.base.migrations);
-            assert!(timed.mean_downtime_per_migration() > 0.0);
-        }
-    }
-
-    #[test]
-    fn instant_network_means_zero_downtime_duration() {
-        // With an (almost) infinite link and no VM start latency the
-        // transfer takes ~0 s, so downtime vanishes even though the same
-        // migrations happen.
-        let mut cfg = config(80);
-        cfg.migration = MigrationCostModel {
-            link_gbps: 1e12,
-            transfer_overhead_w: 0.0,
-            vm_start_energy_j: 0.0,
-            vm_start_latency_s: 0.0,
-            dirty_page_factor: 1.0,
-        };
-        let timed = TimedClusterSim::new(cfg, 3, 15).run();
-        assert!(
-            timed.downtime_demand_seconds < 1e-3,
-            "downtime {}",
-            timed.downtime_demand_seconds
-        );
-    }
-
-    #[test]
-    fn events_processed_counts_all_kinds() {
-        let timed = TimedClusterSim::new(config(80), 7, 10).run();
-        // At least one event per tick, plus one per migration arrival.
-        assert!(timed.events_processed >= 10 + timed.base.migrations);
-    }
-
-    #[test]
-    fn in_flight_peak_is_sane() {
-        let timed = TimedClusterSim::new(config(80), 9, 10).run();
-        assert!(timed.max_in_flight as u64 <= timed.base.migrations);
-    }
-
-    #[test]
-    fn zero_migration_run_reports_zero_ratios_not_nan() {
-        // Freeze demand and disable balancing: nothing ever migrates, so
-        // every ratio metric must degrade to 0.0, never NaN.
-        let mut cfg = config(20);
-        cfg.growth_prob = 0.0;
-        cfg.shrink_prob = 0.0;
-        cfg.balance.enabled = false;
-        let timed = TimedClusterSim::new(cfg, 13, 5).run();
-        assert_eq!(timed.base.migrations, 0);
-        for v in [
-            timed.mean_downtime_per_migration(),
-            timed.mean_transfer_time_s(),
-            timed.mean_wake_latency_s(),
-            timed.downtime_per_interval(),
-        ] {
-            assert!(v.is_finite(), "ratio metric must be finite, got {v}");
-            assert_eq!(v, 0.0);
-        }
-    }
-
-    #[test]
-    fn timed_run_is_deterministic() {
-        let a = TimedClusterSim::new(config(50), 21, 8).run();
-        let b = TimedClusterSim::new(config(50), 21, 8).run();
-        assert_eq!(a, b);
     }
 }

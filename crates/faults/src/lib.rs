@@ -16,15 +16,16 @@
 //!   so plans replay byte-identically and never perturb the workload.
 //! * [`inject`] — [`FaultInjector`]: evaluates the plan at the cluster's
 //!   `FaultHooks` seam and the engine's `run_intercepted` seam.
-//! * [`sim`] — [`FaultyClusterSim`]: the timed cluster simulation with
-//!   faults wired in; drives heartbeat-timeout failover, directory
+//! * [`sim`] — [`FaultyClusterSim`]: the only timed cluster simulation,
+//!   with faults wired in; drives heartbeat-timeout failover, directory
 //!   rebuild and orphan re-admission in `ecolb-cluster`.
 //! * [`report`] — [`FaultyRunReport`], [`FaultImpact`] and the
 //!   [`CompareWithFaulty`] seam for faulty-vs-fault-free diffs.
 //!
-//! An **empty plan is a no-op**: the run is byte-identical to the plain
-//! timed simulation (the workspace determinism suite pins this at 1, 2
-//! and 8 threads).
+//! An **empty plan is a no-op** and makes the run the fault-free timed
+//! simulation: its capacity report is byte-identical to the engine-free
+//! `Cluster::run` of the same seed (the workspace determinism suite pins
+//! this at 1, 2 and 8 threads).
 //!
 //! Crash the leader mid-run and watch the protocol recover:
 //!

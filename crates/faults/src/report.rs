@@ -19,9 +19,10 @@ use ecolb_metrics::DegradationSummary;
 /// Everything a fault-injected run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultyRunReport {
-    /// The full timing-augmented report, byte-identical to a plain
-    /// [`TimedClusterSim`](ecolb_cluster::sim::TimedClusterSim) run when
-    /// the plan was empty.
+    /// The full timing-augmented report. When the plan was empty its
+    /// `base` is byte-identical to
+    /// [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s report of
+    /// the same seed.
     pub timed: TimedRunReport,
     /// The compact degradation answer (availability, SLA, consolidation,
     /// wasted energy).
@@ -183,13 +184,23 @@ mod tests {
     use super::*;
     use crate::plan::FaultPlan;
     use crate::sim::FaultyClusterSim;
-    use ecolb_cluster::cluster::ClusterConfig;
-    use ecolb_cluster::sim::TimedClusterSim;
+    use ecolb_cluster::cluster::{Cluster, ClusterConfig};
     use ecolb_simcore::time::SimTime;
     use ecolb_workload::generator::WorkloadSpec;
 
     fn config(n: usize) -> ClusterConfig {
         ClusterConfig::paper(n, WorkloadSpec::paper_low_load())
+    }
+
+    /// The fault-free baseline: the driver on an empty plan, its capacity
+    /// report checked against the engine-free `Cluster::run`.
+    fn baseline(n: usize, seed: u64, intervals: u64) -> TimedRunReport {
+        let empty = FaultPlan::empty(seed);
+        let timed = FaultyClusterSim::new(config(n), seed, intervals, empty)
+            .run()
+            .timed;
+        assert_eq!(timed.base, Cluster::new(config(n), seed).run(intervals));
+        timed
     }
 
     #[test]
@@ -207,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_plan_impact_is_all_zeroes() {
-        let baseline = TimedClusterSim::new(config(40), 13, 10).run();
+        let baseline = baseline(40, 13, 10);
         let faulty = FaultyClusterSim::new(config(40), 13, 10, FaultPlan::empty(0)).run();
         let impact = baseline.fault_impact(&faulty);
         assert_eq!(impact.energy_overhead_fraction, 0.0);
@@ -220,7 +231,7 @@ mod tests {
 
     #[test]
     fn leader_crash_impact_shows_degradation() {
-        let baseline = TimedClusterSim::new(config(40), 13, 10).run();
+        let baseline = baseline(40, 13, 10);
         let plan = FaultPlan::empty(4).with_leader_crash(SimTime::from_secs(900), None);
         let faulty = FaultyClusterSim::new(config(40), 13, 10, plan).run();
         let impact = baseline.fault_impact(&faulty);

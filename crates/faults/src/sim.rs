@@ -1,6 +1,16 @@
-//! The faulty timed simulation: a
-//! [`TimedClusterSim`](ecolb_cluster::sim::TimedClusterSim) with a
-//! [`FaultPlan`] wired into every seam.
+//! The timed cluster simulation, with a [`FaultPlan`] wired into every
+//! seam.
+//!
+//! [`FaultyClusterSim`] runs the §4 cluster on the discrete-event engine
+//! of `ecolb-simcore`, one event per reallocation tick, per VM arrival
+//! and per wake completion, so the paper's §3 timing questions (how long
+//! a migration keeps a VM off the CPU, how long a wake takes) become the
+//! service-interruption metrics of a [`TimedRunReport`]. It is the only
+//! timed cluster driver: a fault-free timed run is this simulation on
+//! [`FaultPlan::empty`]. The capacity decisions equal
+//! [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s by
+//! construction: the same [`Cluster`] is driven, and the engine only
+//! adds timing.
 //!
 //! Three injection points cover the plan's fault families:
 //!
@@ -8,7 +18,8 @@
 //!   host's VMs (re-admitted through the leader's admission queue), and a
 //!   leader crash additionally exercises the heartbeat-timeout failover.
 //! * **Report loss and wake failures** flow through the cluster's
-//!   [`FaultHooks`] seam inside `run_interval_with_hooks`.
+//!   [`FaultHooks`](ecolb_cluster::recovery::FaultHooks) seam inside
+//!   `run_interval_traced`.
 //! * **Message delay** uses the engine's
 //!   [`run_intercepted`](ecolb_simcore::engine::Engine::run_intercepted)
 //!   seam: a migration-arrival event can be postponed on the wire without
@@ -19,19 +30,19 @@
 //! waiting time (SLA), energy burned while leaderless or on aborted wake
 //! transitions (wasted energy), and the recovery protocol's own counters.
 //!
-//! An **empty plan is a proven no-op**: the injector draws nothing, the
-//! interceptor always delivers, and the produced
-//! [`TimedRunReport`](ecolb_cluster::sim::TimedRunReport) is byte-identical
-//! to the fault-free simulation's (asserted in this crate's tests and in
-//! the workspace determinism suite).
+//! An **empty plan is a no-op**: the injector draws nothing and the
+//! interceptor always delivers, so the report's `timed.base` equals
+//! [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s report of the
+//! same seed byte for byte (asserted in this crate's tests and in the
+//! workspace determinism suite).
 
 use crate::inject::FaultInjector;
 use crate::plan::{FaultEventKind, FaultPlan};
 use crate::report::FaultyRunReport;
 use ecolb_cluster::balance::MigrationRecord;
-use ecolb_cluster::cluster::{Cluster, ClusterConfig, ClusterRunReport};
+use ecolb_cluster::cluster::{Cluster, ClusterConfig};
 use ecolb_cluster::server::ServerId;
-use ecolb_cluster::sim::TimedRunReport;
+use ecolb_cluster::sim::{RunRecorder, TimedRunReport};
 use ecolb_metrics::summary::OnlineStats;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_metrics::DegradationSummary;
@@ -40,8 +51,8 @@ use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
 
-/// Events of the faulty timed simulation — the timed cluster's events
-/// plus scheduled faults.
+/// Events of the timed simulation: reallocation ticks, migration
+/// arrivals, wake completions and scheduled faults.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultSimEvent {
     /// End of a reallocation interval.
@@ -65,7 +76,7 @@ pub enum FaultSimEvent {
     Fault(FaultEventKind),
 }
 
-/// The fault-injected event-driven simulation.
+/// The timed, fault-injected event-driven cluster simulation.
 #[derive(Debug)]
 pub struct FaultyClusterSim {
     cluster: Cluster,
@@ -77,8 +88,7 @@ pub struct FaultyClusterSim {
 struct SimState {
     cluster: Cluster,
     injector: FaultInjector,
-    intervals_left: u64,
-    realloc_interval: SimDuration,
+    recorder: RunRecorder,
     downtime_demand_seconds: f64,
     transfer_time_s: OnlineStats,
     wake_latency_s: OnlineStats,
@@ -124,11 +134,17 @@ impl FaultyClusterSim {
         let horizon = SimTime::ZERO + mul_interval(realloc_interval, self.intervals);
         let plan_is_empty = self.plan.is_empty();
 
-        let mut engine: Engine<FaultSimEvent> = Engine::new();
-        engine.schedule_at(
-            SimTime::ZERO + realloc_interval,
-            FaultSimEvent::ReallocationTick,
-        );
+        // Pre-size the queue for the tick plus a typical interval's burst
+        // of in-flight migration/wake events; the dispatch loop then never
+        // reallocates it.
+        let mut engine: Engine<FaultSimEvent> = Engine::with_capacity(64);
+        let recorder = RunRecorder::new(&self.cluster, self.intervals);
+        if !recorder.done() {
+            engine.schedule_at(
+                SimTime::ZERO + realloc_interval,
+                FaultSimEvent::ReallocationTick,
+            );
+        }
         // Faults beyond the simulated horizon can never be observed by a
         // report; dropping them keeps the engine drain bounded.
         for ev in &self.plan.events {
@@ -140,8 +156,7 @@ impl FaultyClusterSim {
         let mut state = SimState {
             injector: FaultInjector::new(&self.plan, n_servers),
             cluster: self.cluster,
-            intervals_left: self.intervals,
-            realloc_interval,
+            recorder,
             downtime_demand_seconds: 0.0,
             transfer_time_s: OnlineStats::new(),
             wake_latency_s: OnlineStats::new(),
@@ -153,10 +168,6 @@ impl FaultyClusterSim {
             wasted_energy: TimeSeries::new("wasted_energy_j"),
             prev_energy_j: 0.0,
         };
-
-        let mut sleeping = TimeSeries::new("sleeping_servers");
-        let mut load = TimeSeries::new("cluster_load");
-        let initial_census = state.cluster.census();
 
         let outcome = engine.run_intercepted_traced(
             &mut state,
@@ -175,8 +186,6 @@ impl FaultyClusterSim {
                         cluster, injector, ..
                     } = state;
                     let outcome = cluster.run_interval_traced(injector, sched.tracer());
-                    sleeping.push(state.cluster.sleeping_count() as f64);
-                    load.push(state.cluster.load_fraction());
 
                     // Degradation ledger: energy burned during a
                     // leaderless interval is wasted (no balancing could
@@ -196,10 +205,14 @@ impl FaultyClusterSim {
                     }
                     state.wasted_energy.push(wasted);
 
-                    let records: Vec<MigrationRecord> =
-                        state.cluster.interval_migrations().to_vec();
-                    for rec in &records {
-                        schedule_arrival(state, sched, rec);
+                    // Timed effects of this interval's decisions: every VM
+                    // transfer (scaling + protocol) becomes an arrival
+                    // event. `MigrationRecord` is `Copy`, so an index loop
+                    // sidesteps both the borrow conflict and a copy of the
+                    // whole record list.
+                    for r in 0..state.cluster.interval_migrations().len() {
+                        let rec = state.cluster.interval_migrations()[r];
+                        schedule_arrival(state, sched, &rec);
                     }
                     for &woken in &outcome.woken {
                         if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at()
@@ -209,15 +222,9 @@ impl FaultyClusterSim {
                         }
                     }
 
-                    state.intervals_left -= 1;
-                    if state.intervals_left > 0 {
-                        sched.schedule_in(state.realloc_interval, FaultSimEvent::ReallocationTick);
-                        Control::Continue
-                    } else if sched.pending() == 0 {
-                        Control::Stop
-                    } else {
-                        Control::Continue // drain remaining arrivals/wakes
-                    }
+                    state
+                        .recorder
+                        .end_tick(&state.cluster, sched, FaultSimEvent::ReallocationTick)
                 }
                 FaultSimEvent::MigrationArrive { .. } => {
                     state.in_flight -= 1;
@@ -226,7 +233,7 @@ impl FaultyClusterSim {
                 FaultSimEvent::WakeComplete { .. } => Control::Continue,
                 FaultSimEvent::Fault(kind) => {
                     // Past the final tick no report observes the fault.
-                    if state.intervals_left > 0 {
+                    if !state.recorder.done() {
                         apply_fault(state, sched, kind, sched.now());
                     }
                     Control::Continue
@@ -250,21 +257,7 @@ impl FaultyClusterSim {
             .map(|&(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
             .sum();
 
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
-        };
+        let base = state.recorder.finish(&state.cluster);
         let recovery = state.cluster.recovery_stats();
         let wasted_energy_j: f64 = state.wasted_energy.values().iter().sum();
         let availability = if elapsed > 0.0 && n_servers > 0 {
@@ -395,7 +388,7 @@ fn apply_crash<T: Tracer>(
     let orphans = state.cluster.crash_server(server, now);
     // Orphans wait in the admission queue until the next reallocation
     // tick; that waiting time is SLA-violation time.
-    let tau = state.realloc_interval.ticks().max(1);
+    let tau = state.cluster.config().realloc_interval.ticks().max(1);
     let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
     state.orphan_downtime_seconds +=
         orphans.len() as f64 * next_tick.saturating_sub(now).as_secs_f64();
@@ -412,10 +405,83 @@ fn apply_crash<T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecolb_cluster::migration::MigrationCostModel;
     use ecolb_workload::generator::WorkloadSpec;
 
     fn config(n: usize) -> ClusterConfig {
         ClusterConfig::paper(n, WorkloadSpec::paper_low_load())
+    }
+
+    /// A fault-free timed run: the driver on an empty plan.
+    fn timed(config: ClusterConfig, seed: u64, intervals: u64) -> TimedRunReport {
+        FaultyClusterSim::new(config, seed, intervals, FaultPlan::empty(seed))
+            .run()
+            .timed
+    }
+
+    #[test]
+    fn downtime_accrues_with_migrations() {
+        let timed = timed(config(80), 3, 15);
+        if timed.base.migrations > 0 {
+            assert!(timed.downtime_demand_seconds > 0.0);
+            assert!(timed.transfer_time_s.count() == timed.base.migrations);
+            assert!(timed.mean_downtime_per_migration() > 0.0);
+        }
+    }
+
+    #[test]
+    fn instant_network_means_zero_downtime_duration() {
+        // With an (almost) infinite link and no VM start latency the
+        // transfer takes ~0 s, so downtime vanishes even though the same
+        // migrations happen.
+        let mut cfg = config(80);
+        cfg.migration = MigrationCostModel {
+            link_gbps: 1e12,
+            transfer_overhead_w: 0.0,
+            vm_start_energy_j: 0.0,
+            vm_start_latency_s: 0.0,
+            dirty_page_factor: 1.0,
+        };
+        let timed = timed(cfg, 3, 15);
+        assert!(
+            timed.downtime_demand_seconds < 1e-3,
+            "downtime {}",
+            timed.downtime_demand_seconds
+        );
+    }
+
+    #[test]
+    fn events_processed_counts_all_kinds() {
+        let timed = timed(config(80), 7, 10);
+        // At least one event per tick, plus one per migration arrival.
+        assert!(timed.events_processed >= 10 + timed.base.migrations);
+    }
+
+    #[test]
+    fn in_flight_peak_is_sane() {
+        let timed = timed(config(80), 9, 10);
+        assert!(timed.max_in_flight as u64 <= timed.base.migrations);
+    }
+
+    #[test]
+    fn zero_migration_run_reports_zero_ratios_not_nan() {
+        // Freeze demand and disable balancing: nothing ever migrates, so
+        // every ratio metric must degrade to 0.0, never NaN.
+        let mut cfg = config(20);
+        cfg.growth_prob = 0.0;
+        cfg.shrink_prob = 0.0;
+        cfg.balance.enabled = false;
+        let timed = timed(cfg, 13, 5);
+        assert_eq!(timed.base.migrations, 0);
+        for v in [
+            timed.mean_downtime_per_migration(),
+            timed.mean_transfer_time_s(),
+            timed.mean_wake_latency_s(),
+            timed.downtime_per_interval(),
+        ] {
+            assert!(v.is_finite(), "ratio metric must be finite, got {v}");
+            assert_eq!(v, 0.0);
+        }
     }
 
     #[test]

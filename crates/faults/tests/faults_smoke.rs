@@ -1,8 +1,7 @@
 //! End-to-end acceptance scenarios for the fault-injection subsystem.
 
-use ecolb_cluster::cluster::ClusterConfig;
+use ecolb_cluster::cluster::{Cluster, ClusterConfig};
 use ecolb_cluster::server::ServerId;
-use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_faults::{CompareWithFaulty, FaultPlan, FaultyClusterSim};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_workload::generator::WorkloadSpec;
@@ -11,15 +10,15 @@ fn config(n: usize) -> ClusterConfig {
     ClusterConfig::paper(n, WorkloadSpec::paper_low_load())
 }
 
-/// The tentpole determinism contract: an empty plan is a *structural*
-/// no-op — every field of the timed report, including event counts and
-/// energy, is identical to the plain timed simulation.
+/// The determinism contract: an empty plan is a *structural* no-op — the
+/// capacity report, energy included, is identical to the engine-free
+/// synchronous driver's, and nothing degrades.
 #[test]
 fn empty_plan_run_is_byte_identical_to_the_plain_sim() {
     for seed in [1u64, 42, 1337] {
-        let plain = TimedClusterSim::new(config(60), seed, 15).run();
+        let plain = Cluster::new(config(60), seed).run(15);
         let faulty = FaultyClusterSim::new(config(60), seed, 15, FaultPlan::empty(seed)).run();
-        assert_eq!(plain, faulty.timed, "seed {seed} diverged");
+        assert_eq!(plain, faulty.timed.base, "seed {seed} diverged");
         assert!(faulty.plan_was_empty);
         assert_eq!(faulty.degradation.availability, 1.0);
         assert!(!faulty.degradation.is_degraded());
@@ -113,9 +112,12 @@ fn one_percent_message_loss_is_absorbed_by_retries() {
 /// comparison EXPERIMENTS.md publishes.
 #[test]
 fn fault_impact_diff_against_the_same_seed_baseline() {
-    let baseline = TimedClusterSim::new(config(60), 31, 15).run();
+    let baseline = FaultyClusterSim::new(config(60), 31, 15, FaultPlan::empty(31))
+        .run()
+        .timed;
+    assert_eq!(baseline.base, Cluster::new(config(60), 31).run(15));
 
-    let empty = FaultyClusterSim::new(config(60), 31, 15, FaultPlan::empty(31)).run();
+    let empty = FaultyClusterSim::new(config(60), 31, 15, FaultPlan::empty(7)).run();
     let none = baseline.fault_impact(&empty);
     assert_eq!(none.energy_overhead_fraction, 0.0);
     assert_eq!(none.availability, 1.0);

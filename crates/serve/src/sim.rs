@@ -3,11 +3,12 @@
 //! One discrete-event engine drives two coupled layers. The *cluster*
 //! layer is the unmodified §4 reallocation protocol — demand evolution,
 //! regime classification, migrations, drain-and-sleep — ticking every
-//! reallocation interval, exactly as in `TimedClusterSim`. The *serving*
-//! layer rides on the same clock: open-loop request arrivals (one
-//! Poisson source per initial application), a picked instance per
-//! request, FIFO queueing per server, and a latency sample per
-//! completion.
+//! reallocation interval, exactly as in the timed cluster driver
+//! (`ecolb-faults`' `FaultyClusterSim`), and reporting through the same
+//! `RunRecorder`. The *serving* layer rides on the same clock: open-loop
+//! request arrivals (one Poisson source per initial application), a
+//! picked instance per request, FIFO queueing per server, and a latency
+//! sample per completion.
 //!
 //! The two layers interact in both directions:
 //!
@@ -45,6 +46,7 @@ use crate::resilience::{BackoffSchedule, BreakerBank, ResiliencePolicy, RetryBud
 use ecolb_cluster::cluster::{Cluster, ClusterConfig, ClusterRunReport};
 use ecolb_cluster::instances::InstanceInfo;
 use ecolb_cluster::server::ServerId;
+use ecolb_cluster::sim::RunRecorder;
 use ecolb_energy::regimes::OperatingRegime;
 use ecolb_faults::inject::FaultInjector;
 use ecolb_faults::plan::{FaultEventKind, FaultPlan};
@@ -327,8 +329,7 @@ struct ServeState {
     injector: FaultInjector,
     changes: Vec<Change>,
     horizon: SimTime,
-    realloc_interval: SimDuration,
-    intervals_left: u64,
+    recorder: RunRecorder,
     seed: u64,
     // Resilience.
     breakers: BreakerBank,
@@ -353,14 +354,13 @@ struct ServeState {
     serve_energy_j: f64,
     sleep_deferral_energy_j: f64,
     deferred_sleeps: u64,
-    sleeping_series: ecolb_metrics::timeseries::TimeSeries,
-    load_series: ecolb_metrics::timeseries::TimeSeries,
 }
 
 impl ServeSim {
     /// Creates the co-simulation for the given config and seed. The
-    /// seed feeds the cluster exactly as in `TimedClusterSim` plus the
-    /// keyed request streams (arrivals, service times, picker choices).
+    /// seed feeds the cluster exactly as in the timed cluster driver,
+    /// plus the keyed request streams (arrivals, service times, picker
+    /// choices).
     pub fn new(config: ServeConfig, seed: u64) -> Self {
         ServeSim { config, seed }
     }
@@ -407,8 +407,7 @@ impl ServeSim {
             injector: FaultInjector::new(&fault_plan, n_servers),
             changes: Vec::new(),
             horizon,
-            realloc_interval,
-            intervals_left: cfg.intervals,
+            recorder: RunRecorder::new(&cluster, cfg.intervals),
             seed,
             breakers: BreakerBank::new(n_servers),
             budget: RetryBudget::new(cfg.resilience.retry.budget),
@@ -431,17 +430,16 @@ impl ServeSim {
             serve_energy_j: 0.0,
             sleep_deferral_energy_j: 0.0,
             deferred_sleeps: 0,
-            sleeping_series: ecolb_metrics::timeseries::TimeSeries::new("sleeping_servers"),
-            load_series: ecolb_metrics::timeseries::TimeSeries::new("cluster_load"),
             cluster,
         };
-        let initial_census = state.cluster.census();
 
         let mut engine: Engine<ServeEvent> = Engine::with_capacity(256);
-        engine.schedule_at(
-            SimTime::ZERO + realloc_interval,
-            ServeEvent::ReallocationTick,
-        );
+        if !state.recorder.done() {
+            engine.schedule_at(
+                SimTime::ZERO + realloc_interval,
+                ServeEvent::ReallocationTick,
+            );
+        }
         for (i, source) in state.sources.iter_mut().enumerate() {
             if let Some(gap) = state.profiles[i].next_gap_s(source, 0.0) {
                 let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
@@ -487,22 +485,7 @@ impl ServeSim {
         });
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
-        let elapsed = state.cluster.now().as_secs_f64();
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: state.sleeping_series,
-            load_series: state.load_series,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
-        };
+        let base = state.recorder.finish(&state.cluster);
         ServeReport {
             picker: cfg.picker.label(),
             base,
@@ -535,9 +518,6 @@ fn on_tick<T: Tracer>(
         cluster, injector, ..
     } = state;
     cluster.run_interval_traced(injector, sched.tracer());
-    let (asleep, frac) = state.cluster.interval_stats();
-    state.sleeping_series.push(asleep as f64);
-    state.load_series.push(frac);
 
     // Discovery refresh: surface this interval's wake/sleep/crash and
     // migration effects to the picker, and charge sleep deferral for
@@ -578,15 +558,9 @@ fn on_tick<T: Tracer>(
     state.picker.on_change(state.discover.instances(), &changes);
     state.changes = changes;
 
-    state.intervals_left -= 1;
-    if state.intervals_left > 0 {
-        sched.schedule_in(state.realloc_interval, ServeEvent::ReallocationTick);
-        Control::Continue
-    } else if sched.pending() == 0 {
-        Control::Stop
-    } else {
-        Control::Continue // drain in-flight completions
-    }
+    state
+        .recorder
+        .end_tick(&state.cluster, sched, ServeEvent::ReallocationTick)
 }
 
 fn on_arrival<T: Tracer>(
@@ -1015,7 +989,7 @@ fn on_retry<T: Tracer>(
 /// Past the final reallocation tick the engine stops once the last
 /// in-flight completion or retry drains.
 fn stop_check<T: Tracer>(state: &ServeState, sched: &Sched<'_, T>) -> Control {
-    if state.intervals_left == 0 && sched.pending() == 0 {
+    if state.recorder.done() && sched.pending() == 0 {
         Control::Stop
     } else {
         Control::Continue
@@ -1106,7 +1080,7 @@ fn on_fault<T: Tracer>(
     cfg: &ServeConfig,
     kind: FaultEventKind,
 ) -> Control {
-    if state.intervals_left == 0 {
+    if state.recorder.done() {
         return Control::Continue; // past the final tick: unobservable
     }
     let now = sched.now();

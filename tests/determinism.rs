@@ -111,28 +111,28 @@ fn multi_seed_sweep_is_byte_identical_at_any_thread_count() {
 fn empty_fault_plan_is_byte_identical_at_any_thread_count() {
     // The fault-injection layer's no-op contract, end to end: running the
     // timed simulation through `FaultyClusterSim` with an empty plan must
-    // reproduce the plain `TimedClusterSim` report *byte for byte* — at
-    // any `par` fan-out width — so the fault seams (hooked balance
-    // rounds, intercepted engine loop) provably cost nothing when unused.
-    use ecolb_cluster::sim::{TimedClusterSim, TimedRunReport};
+    // reproduce the engine-free `Cluster::run` report *byte for byte* —
+    // at any `par` fan-out width — so the engine and the fault seams
+    // (hooked balance rounds, intercepted engine loop) provably change
+    // no capacity decision.
     use ecolb_faults::{FaultPlan, FaultyClusterSim};
     use ecolb_metrics::json::ToJson;
     use ecolb_simcore::par::map_indexed;
 
     let seeds: Vec<u64> = vec![2, 19, 77, 2014];
     let config = || ClusterConfig::paper(40, WorkloadSpec::paper_low_load());
-    let plain: Vec<TimedRunReport> = seeds
+    let plain: Vec<ClusterRunReport> = seeds
         .iter()
-        .map(|&s| TimedClusterSim::new(config(), s, 8).run())
+        .map(|&s| Cluster::new(config(), s).run(8))
         .collect();
 
-    let render = |r: &TimedRunReport, seed: u64| -> String {
+    let render = |r: &ClusterRunReport, seed: u64| -> String {
         let mut rep = Report::new(format!("faultfree_seed{seed}"), seed);
-        rep.scalar("energy_j", r.base.energy.total_j())
-            .scalar("migrations", r.base.migrations as f64)
-            .scalar("downtime_demand_seconds", r.downtime_demand_seconds)
-            .push_series(r.base.ratio_series.clone())
-            .push_series(r.base.sleeping_series.clone());
+        rep.scalar("energy_j", r.energy.total_j())
+            .scalar("migrations", r.migrations as f64)
+            .scalar("savings_fraction", r.savings_fraction())
+            .push_series(r.ratio_series.clone())
+            .push_series(r.sleeping_series.clone());
         ToJson::to_json(&rep)
     };
 
@@ -141,9 +141,12 @@ fn empty_fault_plan_is_byte_identical_at_any_thread_count() {
             FaultyClusterSim::new(config(), s, 8, FaultPlan::empty(s)).run()
         });
         for ((f, p), &seed) in faulty.iter().zip(&plain).zip(&seeds) {
-            assert_eq!(&f.timed, p, "seed {seed} at {threads} threads diverged");
             assert_eq!(
-                render(&f.timed, seed),
+                &f.timed.base, p,
+                "seed {seed} at {threads} threads diverged"
+            );
+            assert_eq!(
+                render(&f.timed.base, seed),
                 render(p, seed),
                 "rendered report differs at {threads} threads"
             );

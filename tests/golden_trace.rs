@@ -15,7 +15,7 @@
 
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
-use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_faults::{FaultPlan, FaultyClusterSim};
 use ecolb_metrics::json::ToJson;
 use ecolb_simcore::par::map_indexed;
 use ecolb_trace::{NoTrace, RingTracer, TraceSnapshot};
@@ -29,9 +29,14 @@ fn config() -> ClusterConfig {
     ClusterConfig::paper(SERVERS, WorkloadSpec::paper_low_load())
 }
 
+/// The reference run: the timed cluster driver on an empty fault plan.
+fn sim(seed: u64) -> FaultyClusterSim {
+    FaultyClusterSim::new(config(), seed, INTERVALS, FaultPlan::empty(seed))
+}
+
 fn traced_snapshot(seed: u64) -> TraceSnapshot {
     let mut tracer = RingTracer::new();
-    let _ = TimedClusterSim::new(config(), seed, INTERVALS).run_traced(&mut tracer);
+    let _ = sim(seed).run_traced(&mut tracer);
     tracer.snapshot("golden", seed)
 }
 
@@ -80,13 +85,12 @@ fn tracing_does_not_perturb_the_report() {
     // Structural no-op contract, end to end: the report of a traced run
     // equals the untraced one bit for bit — with the sealed `NoTrace`
     // *and* with a recording `RingTracer` (observation must not steer).
-    let plain = TimedClusterSim::new(config(), DEFAULT_SEED, INTERVALS).run();
-    let with_notrace =
-        TimedClusterSim::new(config(), DEFAULT_SEED, INTERVALS).run_traced(&mut NoTrace);
+    let plain = sim(DEFAULT_SEED).run();
+    let with_notrace = sim(DEFAULT_SEED).run_traced(&mut NoTrace);
     assert_eq!(plain, with_notrace, "NoTrace changed the report");
 
     let mut tracer = RingTracer::new();
-    let with_ring = TimedClusterSim::new(config(), DEFAULT_SEED, INTERVALS).run_traced(&mut tracer);
+    let with_ring = sim(DEFAULT_SEED).run_traced(&mut tracer);
     assert_eq!(plain, with_ring, "RingTracer changed the report");
     assert!(tracer.recorded() > 0, "the ring actually recorded events");
 }
