@@ -10,6 +10,12 @@
 //! unsigned integers round-trip **exactly**: seeds and tick timestamps
 //! are full-range `u64`s and would silently lose precision above 2⁵³ if
 //! squeezed through `f64` like a generic JSON reader would.
+//!
+//! A parsed artifact is also safe to replay: the parser rejects, as a
+//! [`ParseError::Schema`], every value the [`FaultPlan`] builders would
+//! refuse or the simulation could not index — an empty fleet, a server
+//! id outside the fleet (or outside `u32`), and fault probabilities
+//! outside the builders' ranges.
 
 use crate::gen::{ChaosScenario, FleetKind};
 use ecolb_cluster::server::ServerId;
@@ -60,7 +66,7 @@ impl ReproArtifact {
         let detail = root.str_field("detail")?.to_string();
         let at_us = root.u64_field("at_us")?;
         let scenario = scenario_from(root.field("scenario")?)?;
-        let plan = plan_from(root.field("plan")?)?;
+        let plan = plan_from(root.field("plan")?, scenario.n_servers)?;
         Ok(ReproArtifact {
             invariant,
             detail,
@@ -94,31 +100,42 @@ fn scenario_from(v: &JsonValue) -> Result<ChaosScenario, ParseError> {
             _ => return Err(ParseError::schema("fleet", "unknown fleet kind")),
         },
     };
+    let n_servers = usize::try_from(v.u64_field("n_servers")?)
+        .map_err(|_| ParseError::schema("n_servers", "too many servers for this platform"))?;
+    if n_servers == 0 {
+        return Err(ParseError::schema(
+            "n_servers",
+            "a fleet needs at least one server",
+        ));
+    }
     Ok(ChaosScenario {
-        n_servers: v.u64_field("n_servers")? as usize,
+        n_servers,
         intervals: v.u64_field("intervals")?,
         intensity: v.f64_field("intensity")?,
         fleet,
     })
 }
 
-fn plan_from(v: &JsonValue) -> Result<FaultPlan, ParseError> {
+/// The plan, with each probability held to its builder's range: a
+/// delayed transfer is drawn again at every redelivery, so a certain
+/// delay (`p = 1`) would never deliver.
+fn plan_from(v: &JsonValue, n_servers: usize) -> Result<FaultPlan, ParseError> {
     let mut plan = FaultPlan::empty(v.u64_field("seed")?);
-    plan.message_loss_prob = v.f64_field("message_loss_prob")?;
-    plan.message_delay_prob = v.f64_field("message_delay_prob")?;
+    plan.message_loss_prob = v.prob_field("message_loss_prob", |p| (0.0..=1.0).contains(&p))?;
+    plan.message_delay_prob = v.prob_field("message_delay_prob", |p| (0.0..1.0).contains(&p))?;
     plan.max_message_delay = SimDuration::from_ticks(v.u64_field("max_message_delay_us")?);
-    plan.wake_failure_prob = v.f64_field("wake_failure_prob")?;
+    plan.wake_failure_prob = v.prob_field("wake_failure_prob", |p| (0.0..=1.0).contains(&p))?;
     for ev in v
         .field("events")?
         .as_array()
         .ok_or(ParseError::schema("events", "expected an array"))?
     {
-        plan.events.push(event_from(ev)?);
+        plan.events.push(event_from(ev, n_servers)?);
     }
     Ok(plan)
 }
 
-fn event_from(v: &JsonValue) -> Result<FaultEvent, ParseError> {
+fn event_from(v: &JsonValue, n_servers: usize) -> Result<FaultEvent, ParseError> {
     let at = SimTime::from_ticks(v.u64_field("at_us")?);
     let recover_after = match v.field("recover_after_us") {
         Ok(JsonValue::Null) | Err(_) => None,
@@ -128,11 +145,11 @@ fn event_from(v: &JsonValue) -> Result<FaultEvent, ParseError> {
     };
     let kind = match v.str_field("kind")? {
         "server_crash" => FaultEventKind::ServerCrash {
-            server: ServerId(v.u64_field("server")? as u32),
+            server: v.server_field(n_servers)?,
             recover_after,
         },
         "server_recover" => FaultEventKind::ServerRecover {
-            server: ServerId(v.u64_field("server")? as u32),
+            server: v.server_field(n_servers)?,
         },
         "leader_crash" => FaultEventKind::LeaderCrash { recover_after },
         _ => return Err(ParseError::schema("kind", "unknown fault-event kind")),
@@ -260,6 +277,31 @@ impl JsonValue {
         self.field(name)?
             .as_str()
             .ok_or(ParseError::schema(name, "expected a string"))
+    }
+
+    /// A probability that `in_range` accepts (NaN never is).
+    fn prob_field(
+        &self,
+        name: &'static str,
+        in_range: impl Fn(f64) -> bool,
+    ) -> Result<f64, ParseError> {
+        let p = self.f64_field(name)?;
+        if in_range(p) {
+            Ok(p)
+        } else {
+            Err(ParseError::schema(name, "probability out of range"))
+        }
+    }
+
+    /// The `server` field as an id inside an `n_servers` fleet.
+    fn server_field(&self, n_servers: usize) -> Result<ServerId, ParseError> {
+        let id = u32::try_from(self.u64_field("server")?)
+            .map_err(|_| ParseError::schema("server", "server id does not fit u32"))?;
+        if (id as usize) < n_servers {
+            Ok(ServerId(id))
+        } else {
+            Err(ParseError::schema("server", "server id outside the fleet"))
+        }
     }
 }
 
@@ -586,6 +628,92 @@ mod tests {
             ParseError::Schema {
                 field: "fleet",
                 msg: "unknown fleet kind"
+            }
+        );
+    }
+
+    fn schema_error(a: &ReproArtifact) -> ParseError {
+        ReproArtifact::parse(&a.to_json()).expect_err("schema error")
+    }
+
+    #[test]
+    fn server_ids_beyond_u32_are_rejected_not_truncated() {
+        // 2^32 + 3 used to wrap silently to server 3.
+        let text = sample_artifact()
+            .to_json()
+            .replace(r#""server":3"#, r#""server":4294967299"#);
+        assert!(text.contains("4294967299"), "test setup: id replaced");
+        assert_eq!(
+            ReproArtifact::parse(&text).expect_err("schema error"),
+            ParseError::Schema {
+                field: "server",
+                msg: "server id does not fit u32"
+            }
+        );
+    }
+
+    #[test]
+    fn server_ids_outside_the_fleet_are_rejected() {
+        // The sample fleet has 4 servers; id 4 would index past it on
+        // replay.
+        let text = sample_artifact()
+            .to_json()
+            .replace(r#""server":3"#, r#""server":4"#);
+        assert_eq!(
+            ReproArtifact::parse(&text).expect_err("schema error"),
+            ParseError::Schema {
+                field: "server",
+                msg: "server id outside the fleet"
+            }
+        );
+    }
+
+    #[test]
+    fn certain_message_delay_is_rejected() {
+        // `with_message_delay` refuses p = 1: the redelivered transfer
+        // would be delayed again forever.
+        let mut a = sample_artifact();
+        a.plan.message_delay_prob = 1.0;
+        assert_eq!(
+            schema_error(&a),
+            ParseError::Schema {
+                field: "message_delay_prob",
+                msg: "probability out of range"
+            }
+        );
+    }
+
+    #[test]
+    fn loss_and_wake_probabilities_outside_the_unit_interval_are_rejected() {
+        let mut loss = sample_artifact();
+        loss.plan.message_loss_prob = 1.5;
+        assert_eq!(
+            schema_error(&loss),
+            ParseError::Schema {
+                field: "message_loss_prob",
+                msg: "probability out of range"
+            }
+        );
+        let mut wake = sample_artifact();
+        wake.plan.wake_failure_prob = -0.25;
+        assert_eq!(
+            schema_error(&wake),
+            ParseError::Schema {
+                field: "wake_failure_prob",
+                msg: "probability out of range"
+            }
+        );
+    }
+
+    #[test]
+    fn empty_fleets_are_rejected() {
+        let mut a = sample_artifact();
+        a.scenario.n_servers = 0;
+        assert_eq!(
+            schema_error(&a),
+            ParseError::Schema {
+                field: "n_servers",
+                msg: "a fleet needs at least one server"
             }
         );
     }

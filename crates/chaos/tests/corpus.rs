@@ -51,3 +51,93 @@ fn regression_corpus_replays_clean() {
         );
     }
 }
+
+/// Bytes that steer a mutation into the parser's interesting states:
+/// structure, digits that grow numbers past `u32`/`u64`, signs,
+/// exponents, escapes and invalid UTF-8.
+const MUTATION_BYTES: &[u8] = b"{}[],:\"\\-+.eE0123456789 nulltruefalse\xff";
+
+/// Numbers that replace a whole number of the document: fleet sizes,
+/// server ids and probabilities at and past their bounds.
+const MUTATION_NUMBERS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "4",
+    "1.0",
+    "1.5",
+    "-1",
+    "0.999",
+    "4294967299",
+    "18446744073709551615",
+    "18446744073709551616",
+    "1e999",
+];
+
+/// Hostile input: arbitrary byte mutations of every corpus artifact
+/// either parse or fail with an error, never a panic. Whatever parses
+/// is safe to replay: its server ids index the fleet and its fault
+/// probabilities are in the plan builders' ranges.
+#[test]
+fn mutated_corpus_artifacts_parse_or_fail_without_panicking() {
+    use ecolb_faults::plan::FaultEventKind;
+    use ecolb_simcore::proptest_lite::check_cases;
+
+    let corpus: Vec<Vec<u8>> = corpus_files()
+        .iter()
+        .map(|p| std::fs::read(p).expect("read corpus file"))
+        .collect();
+    check_cases("mutated_corpus_artifacts", 512, |g| {
+        let mut bytes = corpus[g.usize_in(0, corpus.len())].clone();
+        for _ in 0..g.usize_in(1, 6) {
+            let at = g.usize_in(0, bytes.len());
+            let b = MUTATION_BYTES[g.usize_in(0, MUTATION_BYTES.len())];
+            match g.u8_in(0, 5) {
+                0 => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                2 => {
+                    bytes.remove(at);
+                }
+                3 => {
+                    let end = g.usize_in(at, bytes.len()).min(at + 16);
+                    let slice = bytes[at..end].to_vec();
+                    bytes.splice(at..at, slice);
+                }
+                _ => {
+                    let starts: Vec<usize> = (0..bytes.len())
+                        .filter(|&i| {
+                            bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit())
+                        })
+                        .collect();
+                    if !starts.is_empty() {
+                        let start = starts[g.usize_in(0, starts.len())];
+                        let mut end = start;
+                        while end < bytes.len() && bytes[end].is_ascii_digit() {
+                            end += 1;
+                        }
+                        let number = MUTATION_NUMBERS[g.usize_in(0, MUTATION_NUMBERS.len())];
+                        bytes.splice(start..end, number.bytes());
+                    }
+                }
+            }
+            if bytes.is_empty() {
+                bytes.push(b);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(a) = ReproArtifact::parse(&text) {
+            let n = a.scenario.n_servers;
+            assert!(n > 0);
+            for ev in &a.plan.events {
+                match ev.kind {
+                    FaultEventKind::ServerCrash { server, .. }
+                    | FaultEventKind::ServerRecover { server } => assert!(server.index() < n),
+                    FaultEventKind::LeaderCrash { .. } => {}
+                }
+            }
+            assert!((0.0..=1.0).contains(&a.plan.message_loss_prob));
+            assert!((0.0..1.0).contains(&a.plan.message_delay_prob));
+            assert!((0.0..=1.0).contains(&a.plan.wake_failure_prob));
+        }
+    });
+}

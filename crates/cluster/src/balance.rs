@@ -688,7 +688,7 @@ pub fn balance_round(
     config: &BalanceConfig,
     now: SimTime,
 ) -> BalanceOutcome {
-    balance_round_with_hooks(
+    balance_round_scratch(
         servers,
         leader,
         ledger,
@@ -698,76 +698,19 @@ pub fn balance_round(
         now,
         &mut NoFaults,
         &mut RecoveryStats::default(),
-    )
-}
-
-/// [`balance_round`] with an explicit fault injector: report delivery and
-/// wake orders pass through `hooks`, recovery bookkeeping lands in
-/// `stats`. With [`NoFaults`] this is exactly the fault-free round.
-#[allow(clippy::too_many_arguments)] // the hooked variant adds two seams
-pub fn balance_round_with_hooks(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
-) -> BalanceOutcome {
-    balance_round_traced(
-        servers,
-        leader,
-        ledger,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        hooks,
-        stats,
         &mut NoTrace,
-    )
-}
-
-/// [`balance_round_with_hooks`] with a tracer: the round is bracketed by
-/// a `balance` span and every protocol action (assistance requests,
-/// migrations, sleep/wake transitions, report deliveries) lands in the
-/// trace. With [`NoTrace`] nothing is recorded and the round is exactly
-/// the untraced one.
-#[allow(clippy::too_many_arguments)] // the traced variant adds one more seam
-pub fn balance_round_traced(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
-    tracer: &mut dyn Tracer,
-) -> BalanceOutcome {
-    balance_round_scratch(
-        servers,
-        leader,
-        ledger,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        hooks,
-        stats,
-        tracer,
         &mut BalanceScratch::default(),
     )
 }
 
-/// [`balance_round_traced`] with caller-owned [`BalanceScratch`] so an
-/// interval-driving loop pays the phases' working-buffer allocations once
-/// per simulation instead of once per list per interval. Same results,
-/// byte for byte.
-#[allow(clippy::too_many_arguments)] // the reusing variant adds the scratch
+/// [`balance_round`] with its seams exposed: report delivery and wake
+/// orders pass through `hooks` (with [`NoFaults`] this is exactly the
+/// fault-free round), recovery bookkeeping lands in `stats`, the round
+/// is bracketed by a `balance` span and every protocol action lands in
+/// `tracer`, and caller-owned [`BalanceScratch`] lets an interval-driving
+/// loop pay the phases' working-buffer allocations once per simulation
+/// instead of once per list per interval. Same results, byte for byte.
+#[allow(clippy::too_many_arguments)] // one argument per seam
 pub fn balance_round_scratch(
     servers: &mut [Server],
     leader: &mut Leader,
@@ -1168,7 +1111,7 @@ mod tests {
         stats: &mut RecoveryStats,
     ) -> BalanceOutcome {
         let mut ledger = DecisionLedger::new();
-        balance_round_with_hooks(
+        balance_round_scratch(
             servers,
             leader,
             &mut ledger,
@@ -1178,6 +1121,8 @@ mod tests {
             SimTime::ZERO,
             hooks,
             stats,
+            &mut NoTrace,
+            &mut BalanceScratch::default(),
         )
     }
 

@@ -57,8 +57,8 @@ pub use admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
 pub use balance::{
-    balance_round, balance_round_scratch, balance_round_traced, balance_round_with_hooks,
-    BalanceConfig, BalanceOutcome, BalanceScratch, FillLimit, MigrationRecord,
+    balance_round, balance_round_scratch, BalanceConfig, BalanceOutcome, BalanceScratch, FillLimit,
+    MigrationRecord,
 };
 pub use cluster::{Cluster, ClusterConfig, ClusterRunReport};
 pub use federation::{Federation, FederationConfig, FederationReport};

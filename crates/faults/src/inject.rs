@@ -4,8 +4,8 @@
 //! [`FaultInjector`] owns one RNG stream per `(fault kind, server)` pair,
 //! derived by [`fault_stream`](crate::plan::fault_stream). It implements
 //! the cluster's [`FaultHooks`] seam for report loss and wake failures,
-//! and exposes [`FaultInjector::arrival_disposition`] for the engine-level
-//! message-delay interception of migration transfers.
+//! and exposes [`FaultInjector::arrival_delay`] for the message delay of
+//! migration transfers.
 //!
 //! Determinism rules enforced here:
 //!
@@ -18,7 +18,6 @@
 use crate::plan::{fault_stream, FaultKind, FaultPlan};
 use ecolb_cluster::recovery::FaultHooks;
 use ecolb_cluster::server::ServerId;
-use ecolb_simcore::engine::Disposition;
 use ecolb_simcore::rng::Rng;
 use ecolb_simcore::time::SimDuration;
 
@@ -39,7 +38,7 @@ pub struct InjectionStats {
 
 /// Per-run fault decision engine; plugs into
 /// [`Cluster::run_interval_with_hooks`](ecolb_cluster::cluster::Cluster::run_interval_with_hooks)
-/// and the timed simulation's event interceptor.
+/// and the timed simulation's migration arrivals.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     loss_prob: f64,
@@ -81,24 +80,24 @@ impl FaultInjector {
         self.stats
     }
 
-    /// Engine-level interception for a migration transfer arriving at
-    /// `to`: `Deliver` untouched, or `Delay` by a uniform draw in
-    /// `[0, max_message_delay)` from the receiver's stream.
-    pub fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
+    /// Message delay for a migration transfer arriving at `to`: `None`
+    /// delivers it now, `Some(d)` postpones it by a uniform draw `d` in
+    /// `(0, max_message_delay)` from the receiver's stream.
+    pub fn arrival_delay(&mut self, to: ServerId) -> Option<SimDuration> {
         if self.delay_prob <= 0.0 {
-            return Disposition::Deliver;
+            return None;
         }
         let rng = &mut self.delay[to.index()];
         if !rng.chance(self.delay_prob) {
-            return Disposition::Deliver;
+            return None;
         }
         let extra = SimDuration::from_secs_f64(rng.uniform(0.0, self.max_delay.as_secs_f64()));
         if extra.is_zero() {
-            return Disposition::Deliver;
+            return None;
         }
         self.stats.migrations_delayed += 1;
         self.stats.injected_delay_seconds += extra.as_secs_f64();
-        Disposition::Delay(extra)
+        Some(extra)
     }
 }
 
@@ -138,7 +137,7 @@ mod tests {
             let id = ServerId(i);
             assert!(!inj.report_lost(id, 1));
             assert!(!inj.wake_fails(id));
-            assert_eq!(inj.arrival_disposition(id), Disposition::Deliver);
+            assert_eq!(inj.arrival_delay(id), None);
         }
         assert_eq!(inj.stats(), InjectionStats::default());
     }
@@ -166,7 +165,7 @@ mod tests {
                 trace.push((
                     inj.report_lost(id, 1),
                     inj.wake_fails(id),
-                    inj.arrival_disposition(id),
+                    inj.arrival_delay(id),
                 ));
             }
             (trace, inj.stats())
@@ -198,13 +197,10 @@ mod tests {
         let mut inj = FaultInjector::new(&plan, 1);
         let mut delayed = 0u32;
         for _ in 0..100 {
-            match inj.arrival_disposition(ServerId(0)) {
-                Disposition::Delay(d) => {
-                    assert!(d < max);
-                    delayed += 1;
-                }
-                Disposition::Deliver => {} // no-fault draw or zero-length delay
-                Disposition::Drop => unreachable!("injector never drops transfers"),
+            // `None`: a no-fault draw or a zero-length delay.
+            if let Some(d) = inj.arrival_delay(ServerId(0)) {
+                assert!(d < max);
+                delayed += 1;
             }
         }
         assert!(

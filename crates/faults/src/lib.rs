@@ -15,10 +15,12 @@
 //!   draw comes from an RNG stream keyed by `(seed, fault kind, server)`,
 //!   so plans replay byte-identically and never perturb the workload.
 //! * [`inject`] — [`FaultInjector`]: evaluates the plan at the cluster's
-//!   `FaultHooks` seam and the engine's `run_intercepted` seam.
-//! * [`sim`] — [`FaultyClusterSim`]: the only timed cluster simulation,
+//!   `FaultHooks` seam and at every migration arrival (message delay).
+//! * [`sim`] — [`TimedCluster`]: the cluster half of every timed run,
 //!   with faults wired in; drives heartbeat-timeout failover, directory
 //!   rebuild and orphan re-admission in `ecolb-cluster`.
+//!   [`FaultyClusterSim`] is the thin event loop over it; `ecolb-serve`'s
+//!   `ServeSim` is the other.
 //! * [`report`] — [`FaultyRunReport`], [`FaultImpact`] and the
 //!   [`CompareWithFaulty`] seam for faulty-vs-fault-free diffs.
 //!
@@ -57,4 +59,4 @@ pub mod sim;
 pub use inject::{FaultInjector, InjectionStats};
 pub use plan::{fault_stream, FaultEvent, FaultEventKind, FaultKind, FaultPlan};
 pub use report::{CompareWithFaulty, FaultImpact, FaultyRunReport};
-pub use sim::{FaultSimEvent, FaultyClusterSim};
+pub use sim::{ClusterStep, FaultSimEvent, FaultyClusterSim, TimedCluster};

@@ -1,15 +1,23 @@
 //! The timed cluster simulation, with a [`FaultPlan`] wired into every
 //! seam.
 //!
-//! [`FaultyClusterSim`] runs the §4 cluster on the discrete-event engine
-//! of `ecolb-simcore`, one event per reallocation tick, per VM arrival
-//! and per wake completion, so the paper's §3 timing questions (how long
-//! a migration keeps a VM off the CPU, how long a wake takes) become the
-//! service-interruption metrics of a [`TimedRunReport`]. It is the only
-//! timed cluster driver: a fault-free timed run is this simulation on
-//! [`FaultPlan::empty`]. The capacity decisions equal
-//! [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s by
-//! construction: the same [`Cluster`] is driven, and the engine only
+//! [`TimedCluster`] is the cluster half of every timed run. It owns the
+//! §4 [`Cluster`], the [`FaultInjector`], the [`RunRecorder`] and the
+//! timing and degradation ledger, and it handles one [`FaultSimEvent`]
+//! at a time on the discrete-event engine of `ecolb-simcore`: one event
+//! per reallocation tick, per VM arrival, per wake completion and per
+//! scheduled fault. The paper's §3 timing questions (how long a
+//! migration keeps a VM off the CPU, how long a wake takes) become the
+//! service-interruption metrics of a [`TimedRunReport`]. A driver owns
+//! the engine and its event enum (any `E: From<FaultSimEvent>`) and
+//! reacts to what [`TimedCluster::handle`] reports back ([`ClusterStep`]):
+//! a closed tick or a crashed server.
+//!
+//! [`FaultyClusterSim`] is the thin loop over it with no other layer; a
+//! fault-free timed run is that loop on [`FaultPlan::empty`]. The serving
+//! co-simulation (`ecolb-serve`'s `ServeSim`) is the other. The capacity
+//! decisions equal [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s
+//! by construction: the same [`Cluster`] is driven, and the engine only
 //! adds timing.
 //!
 //! Three injection points cover the plan's fault families:
@@ -20,18 +28,17 @@
 //! * **Report loss and wake failures** flow through the cluster's
 //!   [`FaultHooks`](ecolb_cluster::recovery::FaultHooks) seam inside
 //!   `run_interval_traced`.
-//! * **Message delay** uses the engine's
-//!   [`run_intercepted`](ecolb_simcore::engine::Engine::run_intercepted)
-//!   seam: a migration-arrival event can be postponed on the wire without
-//!   the cluster ever knowing.
+//! * **Message delay** postpones a migration arrival on the wire: the
+//!   arrival asks [`FaultInjector::arrival_delay`] and, when delayed,
+//!   reschedules itself without the cluster ever knowing.
 //!
 //! On top of the usual timing metrics the faulty run keeps the
 //! *degradation ledger*: crashed-server seconds (availability), orphan
 //! waiting time (SLA), energy burned while leaderless or on aborted wake
 //! transitions (wasted energy), and the recovery protocol's own counters.
 //!
-//! An **empty plan is a no-op**: the injector draws nothing and the
-//! interceptor always delivers, so the report's `timed.base` equals
+//! An **empty plan is a no-op**: the injector draws nothing and never
+//! delays, so the report's `timed.base` equals
 //! [`Cluster::run`](ecolb_cluster::cluster::Cluster::run)'s report of the
 //! same seed byte for byte (asserted in this crate's tests and in the
 //! workspace determinism suite).
@@ -39,33 +46,27 @@
 use crate::inject::FaultInjector;
 use crate::plan::{FaultEventKind, FaultPlan};
 use crate::report::FaultyRunReport;
-use ecolb_cluster::balance::MigrationRecord;
 use ecolb_cluster::cluster::{Cluster, ClusterConfig};
 use ecolb_cluster::server::ServerId;
 use ecolb_cluster::sim::{RunRecorder, TimedRunReport};
 use ecolb_metrics::summary::OnlineStats;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_metrics::DegradationSummary;
-use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+use ecolb_simcore::engine::{Control, Engine, RunOutcome, Scheduler};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
-use ecolb_workload::application::AppId;
 
 /// Events of the timed simulation: reallocation ticks, migration
 /// arrivals, wake completions and scheduled faults.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSimEvent {
     /// End of a reallocation interval.
     ReallocationTick,
     /// A migrated VM image finished its transfer (the event the plan's
     /// message-delay family postpones on the wire).
     MigrationArrive {
-        /// The application whose VM arrived.
-        app: AppId,
         /// The receiving server.
         to: ServerId,
-        /// Demand suspended while in flight.
-        demand: f64,
     },
     /// A woken (or rebooting) server reaches C0.
     WakeComplete {
@@ -76,6 +77,18 @@ pub enum FaultSimEvent {
     Fault(FaultEventKind),
 }
 
+/// What a handled [`FaultSimEvent`] means for the driver's loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterStep {
+    /// Cluster bookkeeping only; nothing for the driver to react to.
+    Quiet,
+    /// A reallocation tick closed. The control is the run recorder's:
+    /// stop once the last interval ran and nothing is pending.
+    TickClosed(Control),
+    /// A scheduled fault crashed this server.
+    Crashed(ServerId),
+}
+
 /// The timed, fault-injected event-driven cluster simulation.
 #[derive(Debug)]
 pub struct FaultyClusterSim {
@@ -83,27 +96,6 @@ pub struct FaultyClusterSim {
     seed: u64,
     intervals: u64,
     plan: FaultPlan,
-}
-
-struct SimState {
-    cluster: Cluster,
-    injector: FaultInjector,
-    recorder: RunRecorder,
-    downtime_demand_seconds: f64,
-    transfer_time_s: OnlineStats,
-    wake_latency_s: OnlineStats,
-    in_flight: usize,
-    max_in_flight: usize,
-    /// Open crash windows: when each currently-crashed server went down.
-    crash_start: Vec<Option<SimTime>>,
-    /// Closed crash windows `(down, back_up)`; clamped to the run length
-    /// at report time.
-    closed_windows: Vec<(SimTime, SimTime)>,
-    orphan_downtime_seconds: f64,
-    /// Per-interval energy burned while degraded (leaderless intervals
-    /// plus aborted wake cycles), Joules.
-    wasted_energy: TimeSeries,
-    prev_energy_j: f64,
 }
 
 impl FaultyClusterSim {
@@ -123,40 +115,99 @@ impl FaultyClusterSim {
         self.run_traced(&mut NoTrace)
     }
 
-    /// [`FaultyClusterSim::run`] with a tracer: injection dispositions
+    /// [`FaultyClusterSim::run`] with a tracer: injection decisions
     /// (dropped reports, delayed arrivals), scheduled crashes/recoveries
     /// and every cluster-interval event land in the trace. With
     /// [`NoTrace`] the run is structurally identical to
     /// [`FaultyClusterSim::run`].
     pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> FaultyRunReport {
-        let n_servers = self.cluster.config().n_servers;
-        let realloc_interval = self.cluster.config().realloc_interval;
-        let horizon = SimTime::ZERO + mul_interval(realloc_interval, self.intervals);
-        let plan_is_empty = self.plan.is_empty();
-
         // Pre-size the queue for the tick plus a typical interval's burst
         // of in-flight migration/wake events; the dispatch loop then never
         // reallocates it.
         let mut engine: Engine<FaultSimEvent> = Engine::with_capacity(64);
-        let recorder = RunRecorder::new(&self.cluster, self.intervals);
+        let mut timed = TimedCluster::start(
+            self.cluster,
+            self.seed,
+            self.intervals,
+            &self.plan,
+            &mut engine,
+        );
+        let outcome = engine.run_traced(&mut timed, tracer, |timed, sched, event| {
+            match timed.handle(sched, event) {
+                ClusterStep::TickClosed(control) => control,
+                ClusterStep::Quiet | ClusterStep::Crashed(_) => Control::Continue,
+            }
+        });
+        debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
+        timed.finish(engine.events_processed())
+    }
+}
+
+/// The cluster half of a timed run: the [`Cluster`], the plan's
+/// [`FaultInjector`], the [`RunRecorder`] and the timing and degradation
+/// ledger. See the module docs.
+#[derive(Debug)]
+pub struct TimedCluster {
+    cluster: Cluster,
+    injector: FaultInjector,
+    recorder: RunRecorder,
+    horizon: SimTime,
+    seed: u64,
+    plan_was_empty: bool,
+    downtime_demand_seconds: f64,
+    transfer_time_s: OnlineStats,
+    wake_latency_s: OnlineStats,
+    in_flight: usize,
+    max_in_flight: usize,
+    /// Open crash windows: when each currently-crashed server went down.
+    crash_start: Vec<Option<SimTime>>,
+    /// Closed crash windows `(down, back_up)`; clamped to the run length
+    /// at report time.
+    closed_windows: Vec<(SimTime, SimTime)>,
+    orphan_downtime_seconds: f64,
+    /// Per-interval energy burned while degraded (leaderless intervals
+    /// plus aborted wake cycles), Joules.
+    wasted_energy: TimeSeries,
+    prev_energy_j: f64,
+}
+
+impl TimedCluster {
+    /// Takes `cluster` (built from `seed`) through `intervals`
+    /// reallocation intervals under `plan`, and schedules on `engine` the
+    /// first tick and every plan fault up to the horizon. A zero-interval
+    /// run schedules no tick.
+    pub fn start<E: From<FaultSimEvent>>(
+        cluster: Cluster,
+        seed: u64,
+        intervals: u64,
+        plan: &FaultPlan,
+        engine: &mut Engine<E>,
+    ) -> Self {
+        let n_servers = cluster.config().n_servers;
+        let realloc_interval = cluster.config().realloc_interval;
+        let recorder = RunRecorder::new(&cluster, intervals);
         if !recorder.done() {
             engine.schedule_at(
                 SimTime::ZERO + realloc_interval,
-                FaultSimEvent::ReallocationTick,
+                FaultSimEvent::ReallocationTick.into(),
             );
         }
         // Faults beyond the simulated horizon can never be observed by a
         // report; dropping them keeps the engine drain bounded.
-        for ev in &self.plan.events {
+        let horizon = SimTime::ZERO
+            + SimDuration::from_ticks(realloc_interval.ticks().saturating_mul(intervals));
+        for ev in &plan.events {
             if ev.at <= horizon {
-                engine.schedule_at(ev.at, FaultSimEvent::Fault(ev.kind));
+                engine.schedule_at(ev.at, FaultSimEvent::Fault(ev.kind).into());
             }
         }
-
-        let mut state = SimState {
-            injector: FaultInjector::new(&self.plan, n_servers),
-            cluster: self.cluster,
+        TimedCluster {
+            injector: FaultInjector::new(plan, n_servers),
+            cluster,
             recorder,
+            horizon,
+            seed,
+            plan_was_empty: plan.is_empty(),
             downtime_demand_seconds: 0.0,
             transfer_time_s: OnlineStats::new(),
             wake_latency_s: OnlineStats::new(),
@@ -167,109 +218,202 @@ impl FaultyClusterSim {
             orphan_downtime_seconds: 0.0,
             wasted_energy: TimeSeries::new("wasted_energy_j"),
             prev_energy_j: 0.0,
+        }
+    }
+
+    /// The simulated cluster.
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
+    }
+
+    /// The end of the last reallocation interval.
+    pub fn horizon(&self) -> SimTime {
+        self.horizon
+    }
+
+    /// Whether every reallocation interval has run.
+    pub fn done(&self) -> bool {
+        self.recorder.done()
+    }
+
+    /// Handles one cluster event, scheduling its follow-ups through
+    /// `sched`, and tells the driver what happened.
+    pub fn handle<E: From<FaultSimEvent>, T: Tracer>(
+        &mut self,
+        sched: &mut Scheduler<'_, E, T>,
+        event: FaultSimEvent,
+    ) -> ClusterStep {
+        match event {
+            FaultSimEvent::ReallocationTick => ClusterStep::TickClosed(self.on_tick(sched)),
+            FaultSimEvent::MigrationArrive { to } => {
+                // A delayed transfer faces the same link again when it
+                // is redelivered.
+                if let Some(delay) = self.injector.arrival_delay(to) {
+                    let now = sched.now().ticks();
+                    sched.tracer().event(
+                        now,
+                        TraceEventKind::EventDelayed {
+                            delay_us: delay.ticks(),
+                        },
+                    );
+                    sched.schedule_in(delay, event.into());
+                } else {
+                    self.in_flight -= 1;
+                }
+                ClusterStep::Quiet
+            }
+            FaultSimEvent::WakeComplete { .. } => ClusterStep::Quiet,
+            // Past the final tick no report observes the fault.
+            FaultSimEvent::Fault(_) if self.recorder.done() => ClusterStep::Quiet,
+            FaultSimEvent::Fault(kind) => self.apply_fault(sched, kind),
+        }
+    }
+
+    fn on_tick<E: From<FaultSimEvent>, T: Tracer>(
+        &mut self,
+        sched: &mut Scheduler<'_, E, T>,
+    ) -> Control {
+        let now = sched.now();
+        let was_leaderless = self.cluster.leaderless();
+        let outcome = self
+            .cluster
+            .run_interval_traced(&mut self.injector, sched.tracer());
+
+        // Degradation ledger: energy burned during a leaderless interval
+        // is wasted (no balancing could act on it), and every aborted
+        // wake cycle pays the full transition energy with nothing to
+        // show.
+        let energy_now = self.cluster.energy().total_j() + self.cluster.migration_energy_j();
+        let mut wasted = if was_leaderless {
+            energy_now - self.prev_energy_j
+        } else {
+            0.0
         };
+        self.prev_energy_j = energy_now;
+        for &failed in &outcome.wake_failures {
+            let cstate = self.cluster.servers()[failed.index()].cstate();
+            wasted += self.cluster.config().sleep.failed_wake_energy_j(cstate);
+        }
+        self.wasted_energy.push(wasted);
 
-        let outcome = engine.run_intercepted_traced(
-            &mut state,
-            tracer,
-            |state, _now, ev| match ev {
-                FaultSimEvent::MigrationArrive { to, .. } => {
-                    state.injector.arrival_disposition(*to)
-                }
-                _ => Disposition::Deliver,
-            },
-            |state, sched, event| match event {
-                FaultSimEvent::ReallocationTick => {
-                    let now = sched.now();
-                    let was_leaderless = state.cluster.leaderless();
-                    let SimState {
-                        cluster, injector, ..
-                    } = state;
-                    let outcome = cluster.run_interval_traced(injector, sched.tracer());
+        // Timed effects of this interval's decisions: every VM transfer
+        // (scaling + protocol) becomes an arrival event.
+        for rec in self.cluster.interval_migrations() {
+            self.in_flight += 1;
+            self.max_in_flight = self.max_in_flight.max(self.in_flight);
+            let transfer = rec.cost.duration;
+            self.transfer_time_s.push(transfer.as_secs_f64());
+            self.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
+            sched.schedule_in(
+                transfer,
+                FaultSimEvent::MigrationArrive { to: rec.to }.into(),
+            );
+        }
+        for &woken in &outcome.woken {
+            if let Some(ready) = self.cluster.servers()[woken.index()].wake_ready_at() {
+                self.wake_latency_s.push((ready - now).as_secs_f64());
+                sched.schedule_at(ready, FaultSimEvent::WakeComplete { server: woken }.into());
+            }
+        }
 
-                    // Degradation ledger: energy burned during a
-                    // leaderless interval is wasted (no balancing could
-                    // act on it), and every aborted wake cycle pays the
-                    // full transition energy with nothing to show.
-                    let energy_now =
-                        state.cluster.energy().total_j() + state.cluster.migration_energy_j();
-                    let mut wasted = if was_leaderless {
-                        energy_now - state.prev_energy_j
-                    } else {
-                        0.0
-                    };
-                    state.prev_energy_j = energy_now;
-                    for &failed in &outcome.wake_failures {
-                        let cstate = state.cluster.servers()[failed.index()].cstate();
-                        wasted += state.cluster.config().sleep.failed_wake_energy_j(cstate);
-                    }
-                    state.wasted_energy.push(wasted);
+        self.recorder
+            .end_tick(&self.cluster, sched, FaultSimEvent::ReallocationTick.into())
+    }
 
-                    // Timed effects of this interval's decisions: every VM
-                    // transfer (scaling + protocol) becomes an arrival
-                    // event. `MigrationRecord` is `Copy`, so an index loop
-                    // sidesteps both the borrow conflict and a copy of the
-                    // whole record list.
-                    for r in 0..state.cluster.interval_migrations().len() {
-                        let rec = state.cluster.interval_migrations()[r];
-                        schedule_arrival(state, sched, &rec);
+    fn apply_fault<E: From<FaultSimEvent>, T: Tracer>(
+        &mut self,
+        sched: &mut Scheduler<'_, E, T>,
+        kind: FaultEventKind,
+    ) -> ClusterStep {
+        let now = sched.now();
+        let (fault, server, recover_after) = match kind {
+            FaultEventKind::ServerCrash {
+                server,
+                recover_after,
+            } => ("server_crash", server, recover_after),
+            FaultEventKind::LeaderCrash { recover_after } => {
+                ("leader_crash", self.cluster.leader_host(), recover_after)
+            }
+            FaultEventKind::ServerRecover { server } => {
+                if let Some(ready) = self.cluster.recover_server(server, now) {
+                    sched.tracer().event(
+                        now.ticks(),
+                        TraceEventKind::ServerRecovered { server: server.0 },
+                    );
+                    if let Some(start) = self.crash_start[server.index()].take() {
+                        self.closed_windows.push((start, ready));
                     }
-                    for &woken in &outcome.woken {
-                        if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at()
-                        {
-                            state.wake_latency_s.push((ready - now).as_secs_f64());
-                            sched.schedule_at(ready, FaultSimEvent::WakeComplete { server: woken });
-                        }
-                    }
-
-                    state
-                        .recorder
-                        .end_tick(&state.cluster, sched, FaultSimEvent::ReallocationTick)
+                    self.wake_latency_s.push((ready - now).as_secs_f64());
+                    sched.schedule_at(ready, FaultSimEvent::WakeComplete { server }.into());
                 }
-                FaultSimEvent::MigrationArrive { .. } => {
-                    state.in_flight -= 1;
-                    Control::Continue
-                }
-                FaultSimEvent::WakeComplete { .. } => Control::Continue,
-                FaultSimEvent::Fault(kind) => {
-                    // Past the final tick no report observes the fault.
-                    if !state.recorder.done() {
-                        apply_fault(state, sched, kind, sched.now());
-                    }
-                    Control::Continue
-                }
+                return ClusterStep::Quiet;
+            }
+        };
+        sched.tracer().event(
+            now.ticks(),
+            TraceEventKind::FaultInjected {
+                fault,
+                server: server.0,
             },
         );
-        debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
+        if self.cluster.servers()[server.index()].is_crashed() {
+            return ClusterStep::Quiet;
+        }
+        sched.tracer().event(
+            now.ticks(),
+            TraceEventKind::ServerCrashed { server: server.0 },
+        );
+        let orphans = self.cluster.crash_server(server, now);
+        // Orphans wait in the admission queue until the next reallocation
+        // tick; that waiting time is SLA-violation time.
+        let tau = self.cluster.config().realloc_interval.ticks().max(1);
+        let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
+        self.orphan_downtime_seconds +=
+            orphans.len() as f64 * next_tick.saturating_sub(now).as_secs_f64();
+        self.cluster.readmit_orphans(orphans);
+        self.crash_start[server.index()] = Some(now);
+        if let Some(delay) = recover_after {
+            sched.schedule_in(
+                delay,
+                FaultSimEvent::Fault(FaultEventKind::ServerRecover { server }).into(),
+            );
+        }
+        ClusterStep::Crashed(server)
+    }
 
-        let end = state.cluster.now();
+    /// Closes the run: clamps crash windows still open at the end and
+    /// assembles the degradation-augmented report. `events_processed` is
+    /// the driving engine's count.
+    pub fn finish(mut self, events_processed: u64) -> FaultyRunReport {
+        let end = self.cluster.now();
         let elapsed = end.as_secs_f64();
         // Close any crash-stop windows still open at the end of the run
         // and clamp crash-recover reboots that outlived the horizon.
-        for slot in &mut state.crash_start {
+        for slot in &mut self.crash_start {
             if let Some(start) = slot.take() {
-                state.closed_windows.push((start, end));
+                self.closed_windows.push((start, end));
             }
         }
-        let crashed_server_seconds: f64 = state
+        let crashed_server_seconds: f64 = self
             .closed_windows
             .iter()
             .map(|&(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
             .sum();
 
-        let base = state.recorder.finish(&state.cluster);
-        let recovery = state.cluster.recovery_stats();
-        let wasted_energy_j: f64 = state.wasted_energy.values().iter().sum();
+        let n_servers = self.cluster.config().n_servers;
+        let base = self.recorder.finish(&self.cluster);
+        let recovery = self.cluster.recovery_stats();
+        let wasted_energy_j: f64 = self.wasted_energy.values().iter().sum();
         let availability = if elapsed > 0.0 && n_servers > 0 {
             1.0 - crashed_server_seconds / (n_servers as f64 * elapsed)
         } else {
             1.0
         };
-        let tau_s = realloc_interval.as_secs_f64();
+        let tau_s = self.cluster.config().realloc_interval.as_secs_f64();
         let degradation = DegradationSummary {
             availability,
             sla_violation_seconds: base.saturation_violations as f64 * tau_s
-                + state.orphan_downtime_seconds,
+                + self.orphan_downtime_seconds,
             failed_consolidations: recovery.failed_consolidations,
             wasted_energy_j,
             lost_reports: recovery.reports_abandoned,
@@ -278,127 +422,24 @@ impl FaultyClusterSim {
         FaultyRunReport {
             timed: TimedRunReport {
                 base,
-                downtime_demand_seconds: state.downtime_demand_seconds,
-                transfer_time_s: state.transfer_time_s,
-                wake_latency_s: state.wake_latency_s,
-                max_in_flight: state.max_in_flight,
-                events_processed: engine.events_processed(),
+                downtime_demand_seconds: self.downtime_demand_seconds,
+                transfer_time_s: self.transfer_time_s,
+                wake_latency_s: self.wake_latency_s,
+                max_in_flight: self.max_in_flight,
+                events_processed,
             },
             degradation,
             recovery,
-            injection: state.injector.stats(),
-            wasted_energy_series: state.wasted_energy,
+            injection: self.injector.stats(),
+            wasted_energy_series: self.wasted_energy,
             crashed_server_seconds,
-            orphan_downtime_seconds: state.orphan_downtime_seconds,
-            leader_epoch: state.cluster.leader_epoch(),
-            leader_host: state.cluster.leader_host(),
+            orphan_downtime_seconds: self.orphan_downtime_seconds,
+            leader_epoch: self.cluster.leader_epoch(),
+            leader_host: self.cluster.leader_host(),
             realloc_interval_seconds: tau_s,
             seed: self.seed,
-            plan_was_empty: plan_is_empty,
+            plan_was_empty: self.plan_was_empty,
         }
-    }
-}
-
-/// `interval × count` without floating-point round trips.
-fn mul_interval(interval: SimDuration, count: u64) -> SimDuration {
-    SimDuration::from_ticks(interval.ticks().saturating_mul(count))
-}
-
-fn schedule_arrival<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    rec: &MigrationRecord,
-) {
-    state.in_flight += 1;
-    state.max_in_flight = state.max_in_flight.max(state.in_flight);
-    let transfer = rec.cost.duration;
-    state.transfer_time_s.push(transfer.as_secs_f64());
-    state.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
-    sched.schedule_in(
-        transfer,
-        FaultSimEvent::MigrationArrive {
-            app: rec.app,
-            to: rec.to,
-            demand: rec.demand,
-        },
-    );
-}
-
-fn apply_fault<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    kind: FaultEventKind,
-    now: SimTime,
-) {
-    match kind {
-        FaultEventKind::ServerCrash {
-            server,
-            recover_after,
-        } => {
-            sched.tracer().event(
-                now.ticks(),
-                TraceEventKind::FaultInjected {
-                    fault: "server_crash",
-                    server: server.0,
-                },
-            );
-            apply_crash(state, sched, server, recover_after, now)
-        }
-        FaultEventKind::LeaderCrash { recover_after } => {
-            let leader = state.cluster.leader_host();
-            sched.tracer().event(
-                now.ticks(),
-                TraceEventKind::FaultInjected {
-                    fault: "leader_crash",
-                    server: leader.0,
-                },
-            );
-            apply_crash(state, sched, leader, recover_after, now);
-        }
-        FaultEventKind::ServerRecover { server } => {
-            if let Some(ready) = state.cluster.recover_server(server, now) {
-                sched.tracer().event(
-                    now.ticks(),
-                    TraceEventKind::ServerRecovered { server: server.0 },
-                );
-                if let Some(start) = state.crash_start[server.index()].take() {
-                    state.closed_windows.push((start, ready));
-                }
-                state.wake_latency_s.push((ready - now).as_secs_f64());
-                sched.schedule_at(ready, FaultSimEvent::WakeComplete { server });
-            }
-        }
-    }
-}
-
-fn apply_crash<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    server: ServerId,
-    recover_after: Option<SimDuration>,
-    now: SimTime,
-) {
-    if state.cluster.servers()[server.index()].is_crashed() {
-        return;
-    }
-    sched.tracer().event(
-        now.ticks(),
-        TraceEventKind::ServerCrashed { server: server.0 },
-    );
-    let orphans = state.cluster.crash_server(server, now);
-    // Orphans wait in the admission queue until the next reallocation
-    // tick; that waiting time is SLA-violation time.
-    let tau = state.cluster.config().realloc_interval.ticks().max(1);
-    let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
-    state.orphan_downtime_seconds +=
-        orphans.len() as f64 * next_tick.saturating_sub(now).as_secs_f64();
-    state.cluster.readmit_orphans(orphans);
-    state.crash_start[server.index()] = Some(now);
-    if let Some(delay) = recover_after {
-        sched.schedule_in(
-            delay,
-            FaultSimEvent::Fault(FaultEventKind::ServerRecover { server }),
-        );
     }
 }
 
@@ -576,6 +617,36 @@ mod tests {
             assert!(delayed.injection.migrations_delayed > 0);
             assert!(delayed.injection.injected_delay_seconds > 0.0);
             assert!(delayed.timed.events_processed > base.timed.events_processed);
+        }
+    }
+
+    #[test]
+    fn each_delayed_transfer_costs_exactly_one_redelivery() {
+        use ecolb_trace::RingTracer;
+        let delay_only = || FaultPlan::empty(1).with_message_delay(0.5, SimDuration::from_secs(90));
+        for seed in [11, 12, 13] {
+            let base = FaultyClusterSim::new(config(60), seed, 12, FaultPlan::empty(1)).run();
+            let delayed = FaultyClusterSim::new(config(60), seed, 12, delay_only()).run();
+            assert!(delayed.injection.migrations_delayed > 0, "seed {seed}");
+            assert_eq!(
+                delayed.timed.events_processed,
+                base.timed.events_processed + delayed.injection.migrations_delayed,
+                "seed {seed}"
+            );
+
+            let mut tracer = RingTracer::with_capacity(1 << 20);
+            let traced =
+                FaultyClusterSim::new(config(60), seed, 12, delay_only()).run_traced(&mut tracer);
+            assert_eq!(traced, delayed, "seed {seed}");
+            assert_eq!(tracer.dropped(), 0);
+            let recorded = tracer
+                .events()
+                .filter(|e| matches!(e.kind, TraceEventKind::EventDelayed { .. }))
+                .count() as u64;
+            assert_eq!(
+                recorded, delayed.injection.migrations_delayed,
+                "seed {seed}"
+            );
         }
     }
 }

@@ -1,14 +1,18 @@
 //! `ServeSim`: co-simulation of request routing and the energy policy.
 //!
 //! One discrete-event engine drives two coupled layers. The *cluster*
-//! layer is the unmodified §4 reallocation protocol — demand evolution,
-//! regime classification, migrations, drain-and-sleep — ticking every
-//! reallocation interval, exactly as in the timed cluster driver
-//! (`ecolb-faults`' `FaultyClusterSim`), and reporting through the same
-//! `RunRecorder`. The *serving* layer rides on the same clock: open-loop
-//! request arrivals (one Poisson source per initial application), a
-//! picked instance per request, FIFO queueing per server, and a latency
-//! sample per completion.
+//! layer is `ecolb-faults`' [`TimedCluster`], the same cluster half the
+//! timed cluster driver (`FaultyClusterSim`) loops over: the unmodified
+//! §4 reallocation protocol ticking every reallocation interval, its
+//! migration transfers and wakes as engine events, and the fault plan's
+//! crashes, recoveries, report loss, wake failures and message delays.
+//! [`ServeEvent::Cluster`] carries its events. The *serving* layer rides
+//! on the same clock: open-loop request arrivals (one Poisson source per
+//! initial application), a picked instance per request, FIFO queueing
+//! per server, and a latency sample per completion. It reacts to a
+//! closed tick (discovery refresh, breaker reset, sleep-deferral charge)
+//! and to a crash (discovery refresh, breaker trip, killing the dead
+//! server's queue), and never touches the cluster itself.
 //!
 //! The two layers interact in both directions:
 //!
@@ -46,10 +50,9 @@ use crate::resilience::{BackoffSchedule, BreakerBank, ResiliencePolicy, RetryBud
 use ecolb_cluster::cluster::{Cluster, ClusterConfig, ClusterRunReport};
 use ecolb_cluster::instances::InstanceInfo;
 use ecolb_cluster::server::ServerId;
-use ecolb_cluster::sim::RunRecorder;
 use ecolb_energy::regimes::OperatingRegime;
-use ecolb_faults::inject::FaultInjector;
-use ecolb_faults::plan::{FaultEventKind, FaultPlan};
+use ecolb_faults::plan::FaultPlan;
+use ecolb_faults::sim::{ClusterStep, FaultSimEvent, TimedCluster};
 use ecolb_metrics::latency::{LatencyRecorder, SlaClassCounters};
 use ecolb_metrics::resilience::ResilienceCounters;
 use ecolb_simcore::engine::{Control, Engine, RunOutcome};
@@ -76,9 +79,9 @@ pub struct ServeConfig {
     /// reclaimed server at reclaim time, not at the next tick. A crash
     /// destroys the server's request queue: every in-flight request on
     /// it is killed and counted as failed per SLA class — or retried,
-    /// when the resilience policy grants a retry. Message-delay families
-    /// are inert here: the serving engine does not simulate migration
-    /// transfers on the wire.
+    /// when the resilience policy grants a retry. Message delay postpones
+    /// migration arrivals on the wire exactly as in the timed cluster
+    /// driver; it changes no report field.
     pub faults: Option<FaultPlan>,
     /// The request-level resilience stack (deadlines, retries, hedging,
     /// breakers, shedding). [`ResiliencePolicy::disabled`] is a
@@ -156,9 +159,9 @@ impl ServeConfig {
 /// Events of the serving co-simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeEvent {
-    /// End of a reallocation interval: demand evolution + balancing +
-    /// discovery refresh.
-    ReallocationTick,
+    /// A cluster event (reallocation tick, migration arrival, wake
+    /// completion, scheduled fault), handled by the [`TimedCluster`].
+    Cluster(FaultSimEvent),
     /// The next request of an open-loop source arrives.
     Arrival {
         /// Index into the source table.
@@ -193,9 +196,12 @@ pub enum ServeEvent {
         /// Retry ordinal being dispatched (1 = first retry).
         attempt: u32,
     },
-    /// A scheduled fault from the plan fires (spot reclaim, crash,
-    /// scripted recovery).
-    Fault(FaultEventKind),
+}
+
+impl From<FaultSimEvent> for ServeEvent {
+    fn from(event: FaultSimEvent) -> Self {
+        ServeEvent::Cluster(event)
+    }
 }
 
 /// Attempt-id flag marking the hedged (duplicate) attempt of a request.
@@ -320,16 +326,14 @@ pub struct ServeSim {
 }
 
 struct ServeState {
-    cluster: Cluster,
+    timed: TimedCluster,
     discover: ClusterDiscover,
     picker: Box<dyn Picker>,
     queues: QueueModel,
     sources: Vec<OpenLoopSource>,
     profiles: Vec<SourceProfile>,
-    injector: FaultInjector,
     changes: Vec<Change>,
     horizon: SimTime,
-    recorder: RunRecorder,
     seed: u64,
     // Resilience.
     breakers: BreakerBank,
@@ -377,10 +381,7 @@ impl ServeSim {
         let seed = self.seed;
         let cfg = self.config;
         let cluster = Cluster::new(cfg.cluster.clone(), seed);
-        let realloc_interval = cluster.config().realloc_interval;
         let n_servers = cluster.servers().len();
-        let horizon = SimTime::ZERO
-            + SimDuration::from_ticks(realloc_interval.ticks().saturating_mul(cfg.intervals));
 
         // One open-loop source per initial application, in (server, app)
         // placement order — the source index keys its arrival stream,
@@ -396,18 +397,29 @@ impl ServeSim {
             }
         }
         let fault_plan = cfg.faults.clone().unwrap_or_else(|| FaultPlan::empty(seed));
-
         let discover = ClusterDiscover::new(&cluster);
+
+        let mut engine: Engine<ServeEvent> = Engine::with_capacity(256);
+        let timed = TimedCluster::start(cluster, seed, cfg.intervals, &fault_plan, &mut engine);
+        let horizon = timed.horizon();
+        for (i, source) in sources.iter_mut().enumerate() {
+            if let Some(gap) = profiles[i].next_gap_s(source, 0.0) {
+                let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
+                if at < horizon {
+                    engine.schedule_at(at, ServeEvent::Arrival { source: i as u32 });
+                }
+            }
+        }
+
         let mut state = ServeState {
+            timed,
             discover,
             picker: cfg.picker.build(seed),
             queues: QueueModel::new(n_servers),
             sources,
             profiles,
-            injector: FaultInjector::new(&fault_plan, n_servers),
             changes: Vec::new(),
             horizon,
-            recorder: RunRecorder::new(&cluster, cfg.intervals),
             seed,
             breakers: BreakerBank::new(n_servers),
             budget: RetryBudget::new(cfg.resilience.retry.budget),
@@ -430,34 +442,10 @@ impl ServeSim {
             serve_energy_j: 0.0,
             sleep_deferral_energy_j: 0.0,
             deferred_sleeps: 0,
-            cluster,
         };
 
-        let mut engine: Engine<ServeEvent> = Engine::with_capacity(256);
-        if !state.recorder.done() {
-            engine.schedule_at(
-                SimTime::ZERO + realloc_interval,
-                ServeEvent::ReallocationTick,
-            );
-        }
-        for (i, source) in state.sources.iter_mut().enumerate() {
-            if let Some(gap) = state.profiles[i].next_gap_s(source, 0.0) {
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
-                if at < horizon {
-                    engine.schedule_at(at, ServeEvent::Arrival { source: i as u32 });
-                }
-            }
-        }
-        // Faults beyond the horizon can never be observed; drop them so
-        // the engine drain stays bounded.
-        for ev in &fault_plan.events {
-            if ev.at <= horizon {
-                engine.schedule_at(ev.at, ServeEvent::Fault(ev.kind));
-            }
-        }
-
         let outcome = engine.run_traced(&mut state, tracer, |state, sched, event| match event {
-            ServeEvent::ReallocationTick => on_tick(state, sched, &cfg),
+            ServeEvent::Cluster(event) => on_cluster(state, sched, &cfg, event),
             ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
             ServeEvent::Completion {
                 request,
@@ -481,11 +469,10 @@ impl ServeSim {
                 admitted_ticks,
                 attempt,
             } => on_retry(state, sched, &cfg, request, class, admitted_ticks, attempt),
-            ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
         });
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
-        let base = state.recorder.finish(&state.cluster);
+        let base = state.timed.finish(engine.events_processed()).timed.base;
         ServeReport {
             picker: cfg.picker.label(),
             base,
@@ -508,21 +495,32 @@ impl ServeSim {
 
 type Sched<'a, T> = ecolb_simcore::engine::Scheduler<'a, ServeEvent, T>;
 
-fn on_tick<T: Tracer>(
+/// A cluster event: the timed cluster handles it, then the serving
+/// layer reacts to a closed tick or a crash. Past the final tick the
+/// engine stops once nothing is pending, whichever layer's event was
+/// last.
+fn on_cluster<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
+    event: FaultSimEvent,
 ) -> Control {
-    let now = sched.now();
-    let ServeState {
-        cluster, injector, ..
-    } = state;
-    cluster.run_interval_traced(injector, sched.tracer());
+    match state.timed.handle(sched, event) {
+        ClusterStep::TickClosed(_) => on_tick(state, sched, cfg),
+        ClusterStep::Crashed(server) => on_crash(state, sched, cfg, server),
+        ClusterStep::Quiet => {}
+    }
+    stop_check(state, sched)
+}
 
+/// A reallocation tick closed: surface the interval's effects to the
+/// routing layer.
+fn on_tick<T: Tracer>(state: &mut ServeState, sched: &mut Sched<'_, T>, cfg: &ServeConfig) {
+    let now = sched.now();
     // Discovery refresh: surface this interval's wake/sleep/crash and
     // migration effects to the picker, and charge sleep deferral for
     // servers the policy put down while they still queue work.
-    state.discover.refresh(&state.cluster);
+    state.discover.refresh(state.timed.cluster());
     let mut changes = std::mem::take(&mut state.changes);
     state.discover.poll_changes(&mut changes);
     let res = &cfg.resilience;
@@ -557,10 +555,6 @@ fn on_tick<T: Tracer>(
     }
     state.picker.on_change(state.discover.instances(), &changes);
     state.changes = changes;
-
-    state
-        .recorder
-        .end_tick(&state.cluster, sched, ServeEvent::ReallocationTick)
 }
 
 fn on_arrival<T: Tracer>(
@@ -987,9 +981,9 @@ fn on_retry<T: Tracer>(
 }
 
 /// Past the final reallocation tick the engine stops once the last
-/// in-flight completion or retry drains.
+/// pending event (completion, retry or cluster event) drains.
 fn stop_check<T: Tracer>(state: &ServeState, sched: &Sched<'_, T>) -> Control {
-    if state.recorder.done() && sched.pending() == 0 {
+    if state.timed.done() && sched.pending() == 0 {
         Control::Stop
     } else {
         Control::Continue
@@ -1065,66 +1059,24 @@ fn on_completion<T: Tracer>(
     stop_check(state, sched)
 }
 
-/// Applies a scheduled fault to the co-simulation: crash (spot reclaim)
-/// or scripted recovery. A crash orphans the host's VMs into the
-/// leader's admission queue and refreshes the discovery snapshot at
+/// The timed cluster crashed `server` (spot reclaim, crash, leader
+/// crash) and re-admitted its VMs. The discovery snapshot refreshes at
 /// fault time, so pickers stop routing to the reclaimed server
 /// immediately. The crash destroys the server's request queue: every
 /// queued attempt is killed and settled as a per-class failure unless
 /// the resilience policy rescues it (a retry, or a surviving hedge
 /// twin). Recovery re-enters the routable set at the next reallocation
 /// tick, once the reboot actually reaches C0.
-fn on_fault<T: Tracer>(
-    state: &mut ServeState,
-    sched: &mut Sched<'_, T>,
-    cfg: &ServeConfig,
-    kind: FaultEventKind,
-) -> Control {
-    if state.recorder.done() {
-        return Control::Continue; // past the final tick: unobservable
-    }
-    let now = sched.now();
-    match kind {
-        FaultEventKind::ServerCrash {
-            server,
-            recover_after,
-        } => apply_serve_crash(state, sched, cfg, server, recover_after, now),
-        FaultEventKind::LeaderCrash { recover_after } => {
-            let leader = state.cluster.leader_host();
-            apply_serve_crash(state, sched, cfg, leader, recover_after, now);
-        }
-        FaultEventKind::ServerRecover { server } => {
-            if state.cluster.recover_server(server, now).is_some() {
-                sched.tracer().event(
-                    now.ticks(),
-                    TraceEventKind::ServerRecovered { server: server.0 },
-                );
-            }
-        }
-    }
-    Control::Continue
-}
-
-fn apply_serve_crash<T: Tracer>(
+fn on_crash<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
     server: ServerId,
-    recover_after: Option<SimDuration>,
-    now: SimTime,
 ) {
-    if state.cluster.servers()[server.index()].is_crashed() {
-        return;
-    }
-    sched.tracer().event(
-        now.ticks(),
-        TraceEventKind::ServerCrashed { server: server.0 },
-    );
-    let orphans = state.cluster.crash_server(server, now);
-    state.cluster.readmit_orphans(orphans);
+    let now = sched.now();
     // Surface the reclaim to the pickers right away — routing to a
     // crashed host between now and the next tick would be wrong.
-    state.discover.refresh(&state.cluster);
+    state.discover.refresh(state.timed.cluster());
     let mut changes = std::mem::take(&mut state.changes);
     state.discover.poll_changes(&mut changes);
     state.picker.on_change(state.discover.instances(), &changes);
@@ -1176,12 +1128,6 @@ fn apply_serve_crash<T: Tracer>(
                 FailCause::Crash,
             );
         }
-    }
-    if let Some(delay) = recover_after {
-        sched.schedule_in(
-            delay,
-            ServeEvent::Fault(FaultEventKind::ServerRecover { server }),
-        );
     }
 }
 
@@ -1254,6 +1200,38 @@ mod tests {
         assert_eq!(r.base.decision_totals, sync_report.decision_totals);
         assert_eq!(r.base.final_census, sync_report.final_census);
         assert_eq!(r.base.migrations, sync_report.migrations);
+    }
+
+    #[test]
+    fn nesting_cluster_events_keeps_serve_events_32_bytes() {
+        // The event heap is the hot path of every serve run; a wider
+        // event would widen every heap entry.
+        assert_eq!(std::mem::size_of::<FaultSimEvent>(), 24);
+        assert_eq!(std::mem::size_of::<ServeEvent>(), 32);
+    }
+
+    #[test]
+    fn serve_base_equals_the_timed_cluster_run_under_every_fault_family() {
+        use ecolb_faults::sim::FaultyClusterSim;
+        use ecolb_simcore::time::SimTime;
+        let plan = FaultPlan::empty(17)
+            .with_server_crash(
+                SimTime::from_secs(450),
+                ServerId(2),
+                Some(SimDuration::from_secs(400)),
+            )
+            .with_leader_crash(SimTime::from_secs(1000), Some(SimDuration::from_secs(300)))
+            .with_message_loss(0.05)
+            .with_message_delay(0.3, SimDuration::from_secs(60))
+            .with_wake_failures(0.2);
+        for kind in PickerKind::all() {
+            let mut cfg = config(24, kind, 6);
+            cfg.faults = Some(plan.clone());
+            cfg.resilience = ResiliencePolicy::full();
+            let timed = FaultyClusterSim::new(cfg.cluster.clone(), 5, 6, plan.clone()).run();
+            let served = ServeSim::new(cfg, 5).run();
+            assert_eq!(served.base, timed.timed.base, "{}", kind.label());
+        }
     }
 
     #[test]

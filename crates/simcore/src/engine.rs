@@ -10,6 +10,11 @@
 //! (each simulation defines one event enum) rather than trait objects: event
 //! dispatch is the hottest loop of the simulator and an enum match compiles
 //! to a jump table, whereas boxed closures would allocate per event.
+//!
+//! The loop hands every event it pops to the handler; there is no
+//! interception seam. A layer that models a slow link does it in its own
+//! handler by rescheduling the event, as the timed cluster's
+//! message-delay fault does.
 
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
 
@@ -116,22 +121,6 @@ pub enum Control {
     Stop,
 }
 
-/// An interceptor's verdict on an event about to be delivered — the
-/// injection seam of [`Engine::run_intercepted`]. Fault layers use it to
-/// model lossy or slow links without the handler ever knowing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Disposition {
-    /// Hand the event to the handler normally.
-    #[default]
-    Deliver,
-    /// Silently discard the event (it still counts as processed).
-    Drop,
-    /// Requeue the event this far in the future instead of delivering it
-    /// now. A zero delay delivers immediately (no requeue), so an
-    /// interceptor cannot live-lock the loop.
-    Delay(SimDuration),
-}
-
 /// A discrete-event simulation engine over event payload type `E`.
 #[derive(Debug)]
 pub struct Engine<E> {
@@ -214,7 +203,7 @@ impl<E> Engine<E> {
         state: &mut S,
         handler: impl FnMut(&mut S, &mut Scheduler<'_, E>, E) -> Control,
     ) -> RunOutcome {
-        self.run_intercepted(state, |_, _, _| Disposition::Deliver, handler)
+        self.run_traced(state, &mut NoTrace, handler)
     }
 
     /// [`Engine::run`] with a tracer: the loop emits `engine_started` /
@@ -225,35 +214,6 @@ impl<E> Engine<E> {
         &mut self,
         state: &mut S,
         tracer: &mut T,
-        handler: impl FnMut(&mut S, &mut Scheduler<'_, E, T>, E) -> Control,
-    ) -> RunOutcome {
-        self.run_intercepted_traced(state, tracer, |_, _, _| Disposition::Deliver, handler)
-    }
-
-    /// [`Engine::run`] with an injection seam: before each event reaches
-    /// the handler, `intercept` may [`Disposition::Drop`] it (lossy link)
-    /// or [`Disposition::Delay`] it (slow link, requeued at `now + d`).
-    /// An interceptor that always answers [`Disposition::Deliver`] makes
-    /// this loop identical to [`Engine::run`] — same clock, same event
-    /// order, same `events_processed` count.
-    pub fn run_intercepted<S>(
-        &mut self,
-        state: &mut S,
-        intercept: impl FnMut(&mut S, SimTime, &E) -> Disposition,
-        handler: impl FnMut(&mut S, &mut Scheduler<'_, E>, E) -> Control,
-    ) -> RunOutcome {
-        self.run_intercepted_traced(state, &mut NoTrace, intercept, handler)
-    }
-
-    /// [`Engine::run_intercepted`] with a tracer. Interceptor verdicts
-    /// become `event_dropped` / `event_delayed` trace events, so fault
-    /// injection dispositions are visible in the trace without the fault
-    /// layer knowing about the tracer.
-    pub fn run_intercepted_traced<S, T: Tracer>(
-        &mut self,
-        state: &mut S,
-        tracer: &mut T,
-        mut intercept: impl FnMut(&mut S, SimTime, &E) -> Disposition,
         mut handler: impl FnMut(&mut S, &mut Scheduler<'_, E, T>, E) -> Control,
     ) -> RunOutcome {
         tracer.span_enter(self.now.ticks(), SpanKind::Engine);
@@ -282,26 +242,6 @@ impl<E> Engine<E> {
             self.now = at;
             self.events_processed += 1;
             tracer.counter("engine.dispatched", 1);
-            match intercept(state, self.now, &event) {
-                Disposition::Deliver => {}
-                Disposition::Drop => {
-                    tracer.event(self.now.ticks(), TraceEventKind::EventDropped);
-                    tracer.counter("engine.dropped", 1);
-                    continue;
-                }
-                Disposition::Delay(d) if !d.is_zero() => {
-                    tracer.event(
-                        self.now.ticks(),
-                        TraceEventKind::EventDelayed {
-                            delay_us: d.ticks(),
-                        },
-                    );
-                    tracer.counter("engine.delayed", 1);
-                    self.queue.schedule(self.now + d, event);
-                    continue;
-                }
-                Disposition::Delay(_) => {} // zero delay: deliver now
-            }
             let mut sched = Scheduler {
                 now: self.now,
                 queue: &mut self.queue,
@@ -400,116 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn always_deliver_interception_matches_plain_run() {
-        let mk = || {
-            let mut e = Engine::new();
-            for i in 0..5 {
-                e.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
-            }
-            e
-        };
-        let mut plain = mk();
-        let mut seen_plain = Vec::new();
-        plain.run(&mut seen_plain, |seen, _s, ev| {
-            if let Ev::Tick(i) = ev {
-                seen.push(i);
-            }
-            Control::Continue
-        });
-        let mut hooked = mk();
-        let mut seen_hooked = Vec::new();
-        hooked.run_intercepted(
-            &mut seen_hooked,
-            |_, _, _| Disposition::Deliver,
-            |seen, _s, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push(i);
-                }
-                Control::Continue
-            },
-        );
-        assert_eq!(seen_plain, seen_hooked);
-        assert_eq!(plain.events_processed(), hooked.events_processed());
-        assert_eq!(plain.now(), hooked.now());
-    }
-
-    #[test]
-    fn dropped_events_never_reach_the_handler() {
-        let mut engine = Engine::new();
-        for i in 0..6 {
-            engine.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
-        }
-        let mut seen = Vec::new();
-        let outcome = engine.run_intercepted(
-            &mut seen,
-            |_, _, ev| match ev {
-                Ev::Tick(i) if i % 2 == 1 => Disposition::Drop,
-                _ => Disposition::Deliver,
-            },
-            |seen, _s, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push(i);
-                }
-                Control::Continue
-            },
-        );
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(seen, vec![0, 2, 4], "odd ticks dropped on the link");
-        assert_eq!(engine.events_processed(), 6, "drops still count");
-    }
-
-    #[test]
-    fn delayed_events_arrive_later_in_order() {
-        struct St {
-            delayed_once: bool,
-            order: Vec<(u32, u64)>,
-        }
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
-        engine.schedule_at(SimTime::from_secs(2), Ev::Tick(2));
-        // Delay tick 1 by 3 s (once): it now lands after tick 2.
-        let mut st = St {
-            delayed_once: false,
-            order: Vec::new(),
-        };
-        engine.run_intercepted(
-            &mut st,
-            |st, _, ev| {
-                if matches!(ev, Ev::Tick(1)) && !st.delayed_once {
-                    st.delayed_once = true;
-                    return Disposition::Delay(SimDuration::from_secs(3));
-                }
-                Disposition::Deliver
-            },
-            |st, s, ev| {
-                if let Ev::Tick(i) = ev {
-                    st.order.push((i, s.now().ticks() / 1_000_000));
-                }
-                Control::Continue
-            },
-        );
-        assert!(st.delayed_once);
-        assert_eq!(st.order, vec![(2, 2), (1, 4)], "tick 1 requeued to t = 4 s");
-    }
-
-    #[test]
-    fn zero_delay_delivers_immediately() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
-        let mut count = 0u32;
-        let outcome = engine.run_intercepted(
-            &mut count,
-            |_, _, _| Disposition::Delay(SimDuration::ZERO),
-            |count, _s, _ev| {
-                *count += 1;
-                Control::Continue
-            },
-        );
-        assert_eq!(outcome, RunOutcome::Drained, "no live-lock on zero delay");
-        assert_eq!(count, 1);
-    }
-
-    #[test]
     fn clock_never_goes_backwards() {
         let mut engine = Engine::new();
         for i in [5u64, 1, 9, 3, 3, 7] {
@@ -552,43 +382,6 @@ mod tests {
             == TraceEventKind::EngineFinished {
                 outcome: "drained",
                 events: 3
-            }));
-    }
-
-    #[test]
-    fn traced_interception_records_dispositions() {
-        use ecolb_trace::RingTracer;
-        let mut engine = Engine::new();
-        for i in 0..4 {
-            engine.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
-        }
-        let mut tracer = RingTracer::new();
-        let mut seen = Vec::new();
-        let mut delayed_once = false;
-        engine.run_intercepted_traced(
-            &mut seen,
-            &mut tracer,
-            |_, _, ev| match ev {
-                Ev::Tick(1) => Disposition::Drop,
-                Ev::Tick(2) if !delayed_once => {
-                    delayed_once = true;
-                    Disposition::Delay(SimDuration::from_secs(5))
-                }
-                _ => Disposition::Deliver,
-            },
-            |seen: &mut Vec<u32>, _s, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push(i);
-                }
-                Control::Continue
-            },
-        );
-        assert_eq!(seen, vec![0, 3, 2], "tick 2 requeued past tick 3");
-        assert_eq!(tracer.counter_value("engine.dropped"), 1);
-        assert_eq!(tracer.counter_value("engine.delayed"), 1);
-        assert!(tracer.events().any(|e| e.kind
-            == TraceEventKind::EventDelayed {
-                delay_us: 5_000_000
             }));
     }
 

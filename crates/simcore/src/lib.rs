@@ -49,14 +49,14 @@ pub mod prelude {
         Constant, Distribution, Erlang, Exponential, LogNormal, Normal, Pareto, Poisson, Uniform,
         Weibull, Zipf,
     };
-    pub use crate::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+    pub use crate::engine::{Control, Engine, RunOutcome, Scheduler};
     pub use crate::event::{EventQueue, Priority};
     pub use crate::rng::Rng;
     pub use crate::time::{SimDuration, SimTime};
 }
 
 pub use dist::Distribution;
-pub use engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+pub use engine::{Control, Engine, RunOutcome, Scheduler};
 pub use event::{EventQueue, Priority};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -33,9 +33,8 @@ pub enum TraceEventKind {
         /// Total events the engine has processed (lifetime counter).
         events: u64,
     },
-    /// An interceptor dropped an event on the simulated wire.
-    EventDropped,
-    /// An interceptor delayed an event on the simulated wire.
+    /// A fault delayed an event on the simulated wire (a migration
+    /// transfer postponed by the plan's message-delay family).
     EventDelayed {
         /// Injected delay, microseconds.
         delay_us: u64,
@@ -305,7 +304,6 @@ impl TraceEventKind {
         match self {
             TraceEventKind::EngineStarted => "engine_started",
             TraceEventKind::EngineFinished { .. } => "engine_finished",
-            TraceEventKind::EventDropped => "event_dropped",
             TraceEventKind::EventDelayed { .. } => "event_delayed",
             TraceEventKind::IntervalStarted { .. } => "interval_started",
             TraceEventKind::IntervalClosed { .. } => "interval_closed",
@@ -343,7 +341,7 @@ impl TraceEventKind {
     /// Appends the variant's payload fields to an open object writer.
     fn write_fields<'a>(&self, w: ObjectWriter<'a>) -> ObjectWriter<'a> {
         match *self {
-            TraceEventKind::EngineStarted | TraceEventKind::EventDropped => w,
+            TraceEventKind::EngineStarted => w,
             TraceEventKind::EngineFinished { outcome, events } => {
                 w.field("outcome", &outcome).field("events", &events)
             }
@@ -549,7 +547,6 @@ mod tests {
                 events: 0,
             }
             .name(),
-            TraceEventKind::EventDropped.name(),
             TraceEventKind::EventDelayed { delay_us: 1 }.name(),
             TraceEventKind::IntervalStarted { index: 0 }.name(),
             TraceEventKind::IntervalClosed {
