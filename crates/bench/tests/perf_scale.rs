@@ -3,8 +3,10 @@
 //!
 //! Each grid cell times a full fault-free timed run (`FaultyClusterSim`
 //! on an empty plan; best of a few repetitions) and reports
-//! **events/sec** (engine dispatch throughput) and **intervals/sec**
-//! (end-to-end simulation throughput). The numbers
+//! **events/sec** (engine dispatch throughput), **intervals/sec**
+//! (end-to-end simulation throughput) and **ns per server-interval**
+//! (host cost per unit of simulated work, which should stay flat as the
+//! fleet grows). The numbers
 //! land in `BENCH_scale.json`, written both to `results/perf/` and
 //! mirrored at the repository root so the current throughput curve is
 //! visible without digging.
@@ -35,7 +37,13 @@ use std::time::Instant;
 /// The size × horizon grid: (servers, intervals, timing repetitions).
 /// Repetitions shrink as cells grow — the large cells are long enough
 /// that one run is already a stable measurement.
-const GRID: [(usize, u64, u32); 4] = [(400, 40, 5), (400, 400, 3), (4_000, 40, 2), (4_000, 400, 1)];
+const GRID: [(usize, u64, u32); 5] = [
+    (400, 40, 5),
+    (400, 400, 3),
+    (4_000, 40, 2),
+    (4_000, 400, 1),
+    (16_000, 40, 1),
+];
 
 /// Fixed-work baseline for the ratchet: this many LCG steps take roughly
 /// as long as the 400×40 cell on a contemporary core, so the paired
@@ -92,9 +100,11 @@ fn perf_scale_grid() {
         }
         let events_per_sec = events as f64 / best;
         let intervals_per_sec = intervals as f64 / best;
+        let ns_per_server_interval = best * 1e9 / (size as u64 * intervals) as f64;
         println!(
             "perf scale/{size}x{intervals}: {:.3} ms best-of-{reps}, {events} events, \
-             {events_per_sec:.0} events/s, {intervals_per_sec:.1} intervals/s",
+             {events_per_sec:.0} events/s, {intervals_per_sec:.1} intervals/s, \
+             {ns_per_server_interval:.0} ns/server-interval",
             best * 1e3,
         );
         let key = format!("s{size}x{intervals}");
@@ -102,7 +112,11 @@ fn perf_scale_grid() {
             .scalar(format!("{key}_seconds"), best)
             .scalar(format!("{key}_events"), events as f64)
             .scalar(format!("{key}_events_per_sec"), events_per_sec)
-            .scalar(format!("{key}_intervals_per_sec"), intervals_per_sec);
+            .scalar(format!("{key}_intervals_per_sec"), intervals_per_sec)
+            .scalar(
+                format!("{key}_ns_per_server_interval"),
+                ns_per_server_interval,
+            );
     }
 
     // Ratchet: the smallest cell against the fixed-work baseline.

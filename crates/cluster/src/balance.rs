@@ -33,6 +33,8 @@ use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
 use ecolb_simcore::time::SimTime;
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tolerance for load/room comparisons: demands are sums of many f64
 /// terms, so exact comparisons reject placements that fit by construction.
@@ -201,31 +203,221 @@ fn commit_migration(
     })
 }
 
-/// Truncates a partner list to the configured negotiation budget.
-fn cap<'a>(ids: &'a [ServerId], config: &BalanceConfig) -> &'a [ServerId] {
-    match config.max_partners {
-        Some(k) => &ids[..ids.len().min(k)],
-        None => ids,
-    }
+/// The partners a requester negotiates with: the members of `list` other
+/// than itself, in list order, up to the configured negotiation budget.
+fn negotiable<'a>(
+    list: impl IntoIterator<Item = &'a ServerId>,
+    requester: ServerId,
+    config: &BalanceConfig,
+) -> impl Iterator<Item = ServerId> {
+    list.into_iter()
+        .copied()
+        .filter(move |&id| id != requester)
+        .take(config.max_partners.unwrap_or(usize::MAX))
 }
 
-/// Reusable working buffers for the balancing phases.
+/// Reusable working buffers and partner indexes for the balancing phases.
 ///
 /// The shed and drain phases build several short-lived sorted lists *per
-/// donor / per candidate* (partner lists, app working sets); with a few
-/// hundred servers that used to mean thousands of heap allocations per
+/// donor / per candidate* (rosters, app working sets); with a few hundred
+/// servers that used to mean thousands of heap allocations per
 /// reallocation interval. A round-owned scratch turns them all into
 /// clear-and-refill on buffers that reach steady-state capacity after the
 /// first interval. Contents and iteration order are identical to the
 /// fresh-`Vec` formulation, so reports and traces are byte-identical.
+///
+/// It also holds the phases' partner indexes, the round's just-woken
+/// bitmap, and a tally of partner-search work. Every buffer starts empty
+/// and grows on first use; the indexes' ordered sets allocate tree nodes
+/// as entries come and go.
 #[derive(Debug, Clone, Default)]
 pub struct BalanceScratch {
     /// Donor / drain-candidate roster of the current phase.
     roster: Vec<ServerId>,
-    /// Partner list: the leader's reply or the fallback receiver scan.
-    partners: Vec<ServerId>,
     /// `(app, demand)` working set of the server being relieved or drained.
     apps: Vec<(AppId, f64)>,
+    /// Servers whose wake matured this round, by id.
+    just_woken: Vec<bool>,
+    /// Shed fallback receivers: awake optimal-band servers below their
+    /// shed ceiling, keyed by load. Built on a shed phase's first
+    /// fallback.
+    optimal: ServerIndex,
+    /// The same servers keyed by negated shed headroom: the first entry
+    /// bounds the demand any fallback receiver can take.
+    optimal_room: ServerIndex,
+    /// Option B receivers: awake R2 servers below their drain ceiling,
+    /// keyed by negated drain headroom (most headroom first).
+    drain: ServerIndex,
+    /// Option A donors that can still give. Built without a partner cap.
+    live_donors: LiveDonors,
+    /// Partner-search work so far: roster and index entries visited by the
+    /// partner walks, index re-keys, and entries sorted or indexed by
+    /// roster and index rebuilds. Deterministic, so it gates scaling
+    /// exactly on any host.
+    work: u64,
+}
+
+impl BalanceScratch {
+    /// Partner-search work done by every round that used this scratch.
+    pub(crate) fn partner_search_work(&self) -> u64 {
+        self.work
+    }
+}
+
+/// An index entry, ordered by key (`total_cmp`), then lowest id — the
+/// order the per-query sorts gave.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: f64,
+    id: ServerId,
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.total_cmp(&other.key).then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Slot {}
+
+/// Servers ordered by a per-server key, kept exact by re-keying every
+/// server whose state changed.
+#[derive(Debug, Clone, Default)]
+struct ServerIndex {
+    slots: BTreeSet<Slot>,
+    /// Each server's key in `slots`, by id; `None` outside the index.
+    keys: Vec<Option<f64>>,
+}
+
+impl ServerIndex {
+    /// Rebuilds the index over the fleet, adding the entries indexed to
+    /// `work`.
+    fn build(&mut self, servers: &[Server], key: impl Fn(&Server) -> Option<f64>, work: &mut u64) {
+        let keys = &mut self.keys;
+        keys.clear();
+        keys.resize(servers.len(), None);
+        self.slots = servers
+            .iter()
+            .filter_map(|s| {
+                let k = key(s)?;
+                keys[s.id().index()] = Some(k);
+                Some(Slot { key: k, id: s.id() })
+            })
+            .collect();
+        *work += self.slots.len() as u64;
+    }
+
+    /// Moves `id` to `key` (`None` removes it), counting one re-key.
+    fn rekey(&mut self, id: ServerId, key: Option<f64>, work: &mut u64) {
+        *work += 1;
+        let slot = &mut self.keys[id.index()];
+        if let Some(old) = std::mem::replace(slot, key) {
+            self.slots.remove(&Slot { key: old, id });
+        }
+        if let Some(key) = key {
+            self.slots.insert(Slot { key, id });
+        }
+    }
+
+    /// The entries other than `requester` in key order, up to the
+    /// configured negotiation budget — the walk [`negotiable`] makes over
+    /// a partner list.
+    fn negotiable(
+        &self,
+        requester: ServerId,
+        config: &BalanceConfig,
+    ) -> impl Iterator<Item = Slot> + '_ {
+        self.slots
+            .iter()
+            .copied()
+            .filter(move |slot| slot.id != requester)
+            .take(config.max_partners.unwrap_or(usize::MAX))
+    }
+}
+
+/// `server`'s shed fallback key: its load, if it is an awake optimal-band
+/// server below its shed ceiling.
+fn optimal_key(server: &Server, config: &BalanceConfig) -> Option<f64> {
+    (server.is_awake()
+        && server.regime() == OperatingRegime::Optimal
+        && server.load() < config.shed_fill.ceiling(server))
+    .then(|| server.load())
+}
+
+/// `server`'s key in the shed fallback's headroom index: its negated shed
+/// headroom, if it is a fallback receiver.
+fn optimal_room_key(server: &Server, config: &BalanceConfig) -> Option<f64> {
+    optimal_key(server, config).map(|load| -(config.shed_fill.ceiling(server) - load))
+}
+
+/// `server`'s Option B key: its negated drain headroom, if it is an awake
+/// R2 server below its drain ceiling. Negation is exact and reverses
+/// `total_cmp`, so ascending keys are descending headroom.
+fn drain_key(server: &Server, config: &BalanceConfig) -> Option<f64> {
+    let ceiling = config.drain_fill.ceiling(server);
+    (server.is_awake()
+        && server.regime() == OperatingRegime::SuboptimalLow
+        && server.load() < ceiling)
+        .then(|| -(ceiling - server.load()))
+}
+
+/// Whether `server` can still give load to a gathering candidate.
+fn can_give(server: &Server) -> bool {
+    server.is_awake() && server.shed_pressure() > 0.0
+}
+
+/// The members of the leader's donor roster that can still give, in
+/// roster order.
+#[derive(Debug, Clone, Default)]
+struct LiveDonors {
+    /// Live members by roster position.
+    by_pos: BTreeMap<u32, ServerId>,
+    /// Each server's roster position, by id; `u32::MAX` outside it.
+    pos: Vec<u32>,
+}
+
+impl LiveDonors {
+    /// Rebuilds the set from `roster` (empty under a partner cap), adding
+    /// the entries indexed to `work`.
+    fn build(&mut self, servers: &[Server], roster: &[ServerId], work: &mut u64) {
+        self.pos.clear();
+        self.pos.resize(servers.len(), u32::MAX);
+        for (pos, &id) in roster.iter().enumerate() {
+            self.pos[id.index()] = pos as u32;
+        }
+        self.by_pos = roster
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| can_give(&servers[id.index()]))
+            .map(|(pos, &id)| (pos as u32, id))
+            .collect();
+        *work += self.by_pos.len() as u64;
+    }
+
+    /// Re-checks whether roster member `server` can still give.
+    fn update(&mut self, server: &Server) {
+        let pos = self.pos[server.id().index()];
+        if pos == u32::MAX {
+            return;
+        }
+        if can_give(server) {
+            self.by_pos.insert(pos, server.id());
+        } else {
+            self.by_pos.remove(&pos);
+        }
+    }
 }
 
 /// Static label for a sleep state, for trace events.
@@ -270,8 +462,11 @@ fn shed_phase(
 ) {
     let BalanceScratch {
         roster: donors,
-        partners,
         apps,
+        optimal,
+        optimal_room,
+        work,
+        ..
     } = scratch;
     // Donors sorted: R5 (urgent) first, then heaviest.
     donors.clear();
@@ -289,6 +484,10 @@ fn shed_phase(
             .then(sb.load().total_cmp(&sa.load()))
             .then(a.cmp(&b))
     });
+    // The highest shed ceiling in the fleet, once the fallback index is
+    // built: no fallback receiver with a load above it less a demand can
+    // take that demand.
+    let mut top_ceiling = None;
 
     for &donor in donors.iter() {
         if !servers[donor.index()].regime().is_overloaded() {
@@ -304,28 +503,22 @@ fn shed_phase(
             },
         );
         // Leader proposes R1/R2 receivers; fall back to R3 servers with
-        // headroom when the strict list is empty (see module docs).
-        leader.find_receivers_into(donor, partners);
-        if partners.is_empty() {
-            partners.extend(
+        // headroom, least loaded first, when the strict list is empty (see
+        // module docs).
+        leader.record_partner_list();
+        let strict = leader.receiver_roster(work);
+        let fallback = !strict.iter().any(|&id| id != donor);
+        if fallback && top_ceiling.is_none() {
+            optimal.build(servers, |s| optimal_key(s, config), work);
+            optimal_room.build(servers, |s| optimal_room_key(s, config), work);
+            top_ceiling = Some(
                 servers
                     .iter()
-                    .filter(|s| {
-                        s.is_awake()
-                            && s.id() != donor
-                            && s.regime() == OperatingRegime::Optimal
-                            && s.load() < config.shed_fill.ceiling(s)
-                    })
-                    .map(Server::id),
+                    .map(|s| config.shed_fill.ceiling(s))
+                    .fold(f64::NEG_INFINITY, f64::max),
             );
-            partners.sort_by(|&a, &b| {
-                servers[a.index()]
-                    .load()
-                    .total_cmp(&servers[b.index()].load())
-                    .then(a.cmp(&b))
-            });
         }
-        let receivers = cap(partners, config);
+        let first_move = outcome.migrations.len();
 
         // Shed apps, largest first, until back inside the optimal band or
         // the per-interval negotiation budget runs out.
@@ -359,29 +552,53 @@ fn shed_phase(
                     .then(a.0.cmp(&b.0))
             });
 
-            let mut moved = false;
-            'apps: for &(app, demand) in apps.iter() {
-                for &rx in receivers {
-                    let rx_srv = &servers[rx.index()];
-                    if !rx_srv.is_awake() {
-                        continue;
-                    }
-                    if rx_srv.load() + demand <= config.shed_fill.ceiling(rx_srv) + EPS {
-                        if let Some(rec) =
-                            commit_migration(servers, donor, rx, app, migration_model)
-                        {
-                            trace_migration(tracer, now, &rec);
-                            outcome.migrations.push(rec);
-                            ledger.record(DecisionKind::InClusterHorizontal);
-                            moved = true;
-                            moves += 1;
-                        }
-                        break 'apps;
-                    }
-                }
-            }
-            if !moved {
+            let fits = |rx: ServerId, demand: f64| {
+                let s = &servers[rx.index()];
+                s.is_awake() && s.load() + demand <= config.shed_fill.ceiling(s) + EPS
+            };
+            let placed = apps.iter().find_map(|&(app, demand)| {
+                let rx = match top_ceiling.filter(|_| fallback) {
+                    // Keys only understate the loads and overstate the
+                    // headroom (moves made here only add load), and loads
+                    // are O(1). So nobody can take a demand beyond the
+                    // roomiest key, and no entry from the first one over
+                    // `top` on can take `demand`.
+                    Some(top) => optimal_room
+                        .slots
+                        .first()
+                        .filter(|roomiest| -roomiest.key >= demand - 10.0 * EPS)
+                        .and_then(|_| {
+                            optimal
+                                .negotiable(donor, config)
+                                .take_while(|slot| slot.key + demand <= top + 10.0 * EPS)
+                                .inspect(|_| *work += 1)
+                                .map(|slot| slot.id)
+                                .find(|&rx| fits(rx, demand))
+                        }),
+                    None => negotiable(strict, donor, config)
+                        .inspect(|_| *work += 1)
+                        .find(|&rx| fits(rx, demand)),
+                };
+                rx.map(|rx| (app, rx))
+            });
+            let Some(rec) = placed
+                .and_then(|(app, rx)| commit_migration(servers, donor, rx, app, migration_model))
+            else {
                 break; // nothing placeable anywhere
+            };
+            trace_migration(tracer, now, &rec);
+            outcome.migrations.push(rec);
+            ledger.record(DecisionKind::InClusterHorizontal);
+            moves += 1;
+        }
+        // The fallback walked the order the donor first saw; re-key now.
+        if top_ceiling.is_some() {
+            for rec in &outcome.migrations[first_move..] {
+                for id in [rec.from, rec.to] {
+                    let server = &servers[id.index()];
+                    optimal.rekey(id, optimal_key(server, config), work);
+                    optimal_room.rekey(id, optimal_room_key(server, config), work);
+                }
             }
         }
 
@@ -391,7 +608,65 @@ fn shed_phase(
     }
 }
 
+/// Option A for one drain candidate: takes from each of `donors` in turn
+/// the largest app that fits the candidate, until the donor cannot give
+/// or nothing of it fits, and stops once the candidate leaves R1. True if
+/// anything moved.
+#[allow(clippy::too_many_arguments)] // phases share the round's full context
+fn gather(
+    servers: &mut [Server],
+    cand: ServerId,
+    donors: impl Iterator<Item = ServerId>,
+    ledger: &mut DecisionLedger,
+    migration_model: &MigrationCostModel,
+    config: &BalanceConfig,
+    now: SimTime,
+    tracer: &mut dyn Tracer,
+    outcome: &mut BalanceOutcome,
+    work: &mut u64,
+) -> bool {
+    let mut gathered = false;
+    for donor in donors {
+        *work += 1;
+        loop {
+            let donor_srv = &servers[donor.index()];
+            if !donor_srv.is_awake() || donor_srv.shed_pressure() <= 0.0 {
+                break;
+            }
+            let cand_srv = &servers[cand.index()];
+            let ceiling = config.shed_fill.ceiling(cand_srv);
+            // Largest app that fits the candidate.
+            let pick = donor_srv
+                .apps()
+                .iter()
+                .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
+                .max_by(|x, y| x.demand.total_cmp(&y.demand))
+                .map(|a| a.id);
+            match pick.and_then(|app| commit_migration(servers, donor, cand, app, migration_model))
+            {
+                Some(rec) => {
+                    trace_migration(tracer, now, &rec);
+                    outcome.migrations.push(rec);
+                    ledger.record(DecisionKind::InClusterHorizontal);
+                    gathered = true;
+                }
+                None => break,
+            }
+        }
+        if servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
+            break; // candidate climbed out of R1
+        }
+    }
+    gathered
+}
+
 /// Phase 2 — R1 servers gather from remaining donors or drain-and-sleep.
+///
+/// Partners come from the Option B receiver index and the live-donor set
+/// built at the start of the phase (under a partner cap, from the leader's
+/// donor roster instead of the set). After each candidate both endpoints
+/// of its commits, and the candidate itself, are re-keyed, so the next
+/// candidate sees the order a fresh scan-and-sort would give.
 #[allow(clippy::too_many_arguments)] // phases share the round's full context
 fn drain_phase(
     servers: &mut [Server],
@@ -401,15 +676,18 @@ fn drain_phase(
     sleep_model: &SleepModel,
     config: &BalanceConfig,
     now: SimTime,
-    just_woken: &[ServerId],
     tracer: &mut dyn Tracer,
     scratch: &mut BalanceScratch,
     outcome: &mut BalanceOutcome,
 ) {
     let BalanceScratch {
         roster: candidates,
-        partners,
         apps,
+        just_woken,
+        drain,
+        live_donors,
+        work,
+        ..
     } = scratch;
     let cluster_load = cluster_load_fraction(servers);
     // R1 candidates, emptiest first (cheapest to drain). A server whose
@@ -422,7 +700,7 @@ fn drain_phase(
             .filter(|s| {
                 s.is_awake()
                     && s.regime() == OperatingRegime::UndesirableLow
-                    && !just_woken.contains(&s.id())
+                    && !just_woken[s.id().index()]
             })
             .map(Server::id),
     );
@@ -445,6 +723,15 @@ fn drain_phase(
             )
             .then(a.cmp(&b))
     });
+    // The directory's donor roster changes during this phase only by
+    // slept candidates leaving it, and a sleeping server cannot give, so
+    // the live-donor set built from it now stays exact.
+    let roster = match config.max_partners {
+        None => leader.donor_roster(work),
+        Some(_) => &[],
+    };
+    live_donors.build(servers, roster, work);
+    drain.build(servers, |s| drain_key(s, config), work);
 
     let mut processed = 0usize;
     for &cand in candidates.iter() {
@@ -467,124 +754,112 @@ fn drain_phase(
                 regime: OperatingRegime::UndesirableLow.index() as u8,
             },
         );
+        let first_move = outcome.migrations.len();
 
         // Option A: gather from remaining overloaded donors (paper gives
-        // this branch when R4/R5 servers exist).
-        leader.find_donors_into(cand, partners);
-        let donors = cap(partners, config);
-        let mut gathered = false;
-        for &donor in donors {
-            loop {
-                let donor_srv = &servers[donor.index()];
-                if !donor_srv.is_awake() || donor_srv.shed_pressure() <= 0.0 {
-                    break;
+        // this branch when R4/R5 servers exist). Without a partner cap only
+        // live donors are walked: a donor that cannot give breaks its loop
+        // at once and leaves the candidate's regime as it was, so skipping
+        // it changes nothing.
+        leader.record_partner_list();
+        let gathered = {
+            let (mut live, mut capped);
+            let donors: &mut dyn Iterator<Item = ServerId> = match config.max_partners {
+                None => {
+                    live = live_donors.by_pos.values().copied();
+                    &mut live
                 }
-                let cand_srv = &servers[cand.index()];
-                let ceiling = config.shed_fill.ceiling(cand_srv);
-                // Largest app that fits the candidate.
-                let pick = donor_srv
-                    .apps()
-                    .iter()
-                    .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
-                    .max_by(|x, y| x.demand.total_cmp(&y.demand))
-                    .map(|a| a.id);
-                match pick
-                    .and_then(|app| commit_migration(servers, donor, cand, app, migration_model))
+                Some(_) => {
+                    capped = negotiable(leader.donor_roster(work), cand, config);
+                    &mut capped
+                }
+            };
+            let donors = donors.filter(|&id| id != cand);
+            gather(
+                servers,
+                cand,
+                donors,
+                ledger,
+                migration_model,
+                config,
+                now,
+                tracer,
+                outcome,
+                work,
+            )
+        };
+        if gathered {
+            // gathering resolved (or improved) this candidate
+        } else if !config.allow_sleep {
+            outcome.failed_drains.push(cand);
+        } else {
+            // Option B: drain into R2 receivers filled at most to the drain
+            // ceiling. The per-interval transfer budget means a loaded
+            // server drains over several intervals; it sleeps only once
+            // empty. Most spare drain capacity first maximises placement
+            // success. The index is re-keyed only after the move loop, so
+            // every move walks the order the candidate first saw.
+            let mut moved = 0usize;
+            while moved < config.drain_moves_per_candidate {
+                apps.clear();
+                apps.extend(
+                    servers[cand.index()]
+                        .apps()
+                        .iter()
+                        .map(|a| (a.id, a.demand)),
+                );
+                apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                let placed = apps.iter().find_map(|&(app, demand)| {
+                    drain
+                        .negotiable(cand, config)
+                        // Keys only overstate the headroom left (moves made
+                        // here only add load) and loads are O(1), so no
+                        // entry from the first one short of `demand` on can
+                        // pass the fit test.
+                        .take_while(|slot| -slot.key >= demand - 10.0 * EPS)
+                        .inspect(|_| *work += 1)
+                        .find(|slot| {
+                            let s = &servers[slot.id.index()];
+                            s.is_awake() && s.load() + demand <= config.drain_fill.ceiling(s) + EPS
+                        })
+                        .map(|slot| (app, slot.id))
+                });
+                match placed
+                    .and_then(|(app, rx)| commit_migration(servers, cand, rx, app, migration_model))
                 {
                     Some(rec) => {
                         trace_migration(tracer, now, &rec);
                         outcome.migrations.push(rec);
                         ledger.record(DecisionKind::InClusterHorizontal);
-                        gathered = true;
+                        moved += 1;
                     }
                     None => break,
                 }
             }
-            if servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
-                break; // candidate climbed out of R1
-            }
-        }
-        if gathered {
-            continue; // gathering resolved (or improved) this candidate
-        }
 
-        if !config.allow_sleep {
-            outcome.failed_drains.push(cand);
-            continue;
-        }
-
-        // Option B: drain into R2 receivers filled at most to the drain
-        // ceiling. The per-interval transfer budget means a loaded server
-        // drains over several intervals; it sleeps only once empty.
-        partners.clear();
-        partners.extend(
-            servers
-                .iter()
-                .filter(|s| {
-                    s.is_awake()
-                        && s.id() != cand
-                        && s.regime() == OperatingRegime::SuboptimalLow
-                        && s.load() < config.drain_fill.ceiling(s)
-                })
-                .map(Server::id),
-        );
-        // Most spare drain capacity first maximises placement success.
-        partners.sort_by(|&a, &b| {
-            let ha = config.drain_fill.ceiling(&servers[a.index()]) - servers[a.index()].load();
-            let hb = config.drain_fill.ceiling(&servers[b.index()]) - servers[b.index()].load();
-            hb.total_cmp(&ha).then(a.cmp(&b))
-        });
-        let receivers = cap(partners, config);
-
-        // Move the largest placeable apps within the interval budget.
-        let mut moved = 0usize;
-        while moved < config.drain_moves_per_candidate {
-            apps.clear();
-            apps.extend(
-                servers[cand.index()]
-                    .apps()
-                    .iter()
-                    .map(|a| (a.id, a.demand)),
-            );
-            apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut placed = None;
-            'search: for (app, demand) in apps.iter() {
-                for &rx in receivers {
-                    let s = &servers[rx.index()];
-                    if s.is_awake() && s.load() + demand <= config.drain_fill.ceiling(s) + EPS {
-                        placed = Some((*app, rx));
-                        break 'search;
-                    }
+            if servers[cand.index()].app_count() == 0 {
+                if let Some(state) = config.sleep_policy.choose(cluster_load) {
+                    servers[cand.index()].enter_sleep(now, state, sleep_model);
+                    leader.receive_report(cand, OperatingRegime::UndesirableLow, 0.0, true);
+                    tracer.event(
+                        now.ticks(),
+                        TraceEventKind::SleepEntered {
+                            server: cand.0,
+                            cstate: cstate_label(state),
+                        },
+                    );
+                    outcome.slept.push((cand, state));
                 }
-            }
-            match placed
-                .and_then(|(app, rx)| commit_migration(servers, cand, rx, app, migration_model))
-            {
-                Some(rec) => {
-                    trace_migration(tracer, now, &rec);
-                    outcome.migrations.push(rec);
-                    ledger.record(DecisionKind::InClusterHorizontal);
-                    moved += 1;
-                }
-                None => break,
+            } else {
+                outcome.failed_drains.push(cand);
             }
         }
 
-        if servers[cand.index()].app_count() == 0 {
-            if let Some(state) = config.sleep_policy.choose(cluster_load) {
-                servers[cand.index()].enter_sleep(now, state, sleep_model);
-                leader.receive_report(cand, OperatingRegime::UndesirableLow, 0.0, true);
-                tracer.event(
-                    now.ticks(),
-                    TraceEventKind::SleepEntered {
-                        server: cand.0,
-                        cstate: cstate_label(state),
-                    },
-                );
-                outcome.slept.push((cand, state));
-            }
-        } else {
-            outcome.failed_drains.push(cand);
+        let moved = outcome.migrations[first_move..].iter();
+        for id in std::iter::once(cand).chain(moved.flat_map(|rec| [rec.from, rec.to])) {
+            let server = &servers[id.index()];
+            drain.rekey(id, drain_key(server, config), work);
+            live_donors.update(server);
         }
     }
 }
@@ -726,7 +1001,9 @@ pub fn balance_round_scratch(
 ) -> BalanceOutcome {
     tracer.span_enter(now.ticks(), SpanKind::Balance);
     // Complete wakes that have matured.
-    let mut just_woken = Vec::new();
+    let just_woken = &mut scratch.just_woken;
+    just_woken.clear();
+    just_woken.resize(servers.len(), false);
     for s in servers.iter_mut() {
         if let Some(t) = s.wake_ready_at() {
             if t <= now {
@@ -735,7 +1012,7 @@ pub fn balance_round_scratch(
                     now.ticks(),
                     TraceEventKind::WakeCompleted { server: s.id().0 },
                 );
-                just_woken.push(s.id());
+                just_woken[s.id().index()] = true;
             }
         }
     }
@@ -764,7 +1041,6 @@ pub fn balance_round_scratch(
         sleep_model,
         config,
         now,
-        &just_woken,
         tracer,
         scratch,
         &mut outcome,
@@ -1282,5 +1558,571 @@ mod tests {
             assert!(m.demand > 0.0);
         }
         assert!(out.migration_energy_j() > 0.0);
+    }
+
+    /// The scan-and-sort partner searches the drain index, the leader
+    /// rosters and the live-donor set replaced, kept as test oracles:
+    /// every phase as it was before the indexes, allocating freely.
+    mod oracle {
+        use super::*;
+
+        /// Leader directory scan: awake entries in the given regimes other
+        /// than `requester`, with their reported regime and load.
+        fn directory_scan(
+            leader: &Leader,
+            requester: ServerId,
+            wanted: fn(OperatingRegime) -> bool,
+        ) -> Vec<(ServerId, OperatingRegime, f64)> {
+            (0..leader.capacity() as u32)
+                .map(ServerId)
+                .filter_map(|id| {
+                    let e = leader.entry(id)?;
+                    (id != requester && !e.sleeping && wanted(e.regime))
+                        .then_some((id, e.regime, e.load))
+                })
+                .collect()
+        }
+
+        /// The leader's receiver search as a scan and a sort.
+        pub fn receivers(leader: &Leader, requester: ServerId) -> Vec<ServerId> {
+            let mut found = directory_scan(leader, requester, OperatingRegime::is_underloaded);
+            found.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+            found.into_iter().map(|(id, _, _)| id).collect()
+        }
+
+        /// The leader's donor search as a scan and a sort.
+        pub fn donors(leader: &Leader, requester: ServerId) -> Vec<ServerId> {
+            let mut found = directory_scan(leader, requester, OperatingRegime::is_overloaded);
+            found.sort_by(|a, b| {
+                b.1.index()
+                    .cmp(&a.1.index())
+                    .then(b.2.total_cmp(&a.2))
+                    .then(a.0.cmp(&b.0))
+            });
+            found.into_iter().map(|(id, _, _)| id).collect()
+        }
+
+        /// Option B's receivers as a fleet scan and a sort.
+        pub fn drain_receivers(
+            servers: &[Server],
+            cand: ServerId,
+            config: &BalanceConfig,
+        ) -> Vec<ServerId> {
+            let mut found: Vec<ServerId> = servers
+                .iter()
+                .filter(|s| {
+                    s.is_awake()
+                        && s.id() != cand
+                        && s.regime() == OperatingRegime::SuboptimalLow
+                        && s.load() < config.drain_fill.ceiling(s)
+                })
+                .map(Server::id)
+                .collect();
+            found.sort_by(|&a, &b| {
+                let ha = config.drain_fill.ceiling(&servers[a.index()]) - servers[a.index()].load();
+                let hb = config.drain_fill.ceiling(&servers[b.index()]) - servers[b.index()].load();
+                hb.total_cmp(&ha).then(a.cmp(&b))
+            });
+            found
+        }
+
+        /// The shed fallback's receivers as a fleet scan and a sort.
+        pub fn optimal_receivers(
+            servers: &[Server],
+            donor: ServerId,
+            config: &BalanceConfig,
+        ) -> Vec<ServerId> {
+            let mut found: Vec<ServerId> = servers
+                .iter()
+                .filter(|s| {
+                    s.is_awake()
+                        && s.id() != donor
+                        && s.regime() == OperatingRegime::Optimal
+                        && s.load() < config.shed_fill.ceiling(s)
+                })
+                .map(Server::id)
+                .collect();
+            found.sort_by(|&a, &b| {
+                servers[a.index()]
+                    .load()
+                    .total_cmp(&servers[b.index()].load())
+                    .then(a.cmp(&b))
+            });
+            found
+        }
+
+        fn cap(mut ids: Vec<ServerId>, config: &BalanceConfig) -> Vec<ServerId> {
+            ids.truncate(config.max_partners.unwrap_or(usize::MAX));
+            ids
+        }
+
+        fn commit(
+            servers: &mut [Server],
+            from: ServerId,
+            to: ServerId,
+            app: AppId,
+            ledger: &mut DecisionLedger,
+            outcome: &mut BalanceOutcome,
+        ) -> bool {
+            let rec = commit_migration(servers, from, to, app, &MigrationCostModel::default());
+            if let Some(rec) = rec {
+                outcome.migrations.push(rec);
+                ledger.record(DecisionKind::InClusterHorizontal);
+            }
+            rec.is_some()
+        }
+
+        fn shed(
+            servers: &mut [Server],
+            leader: &mut Leader,
+            ledger: &mut DecisionLedger,
+            config: &BalanceConfig,
+            outcome: &mut BalanceOutcome,
+        ) {
+            let mut donors: Vec<ServerId> = servers
+                .iter()
+                .filter(|s| s.is_awake() && s.regime().is_overloaded())
+                .map(Server::id)
+                .collect();
+            donors.sort_by(|&a, &b| {
+                let (sa, sb) = (&servers[a.index()], &servers[b.index()]);
+                sb.regime()
+                    .index()
+                    .cmp(&sa.regime().index())
+                    .then(sb.load().total_cmp(&sa.load()))
+                    .then(a.cmp(&b))
+            });
+            for donor in donors {
+                if !servers[donor.index()].regime().is_overloaded() {
+                    continue;
+                }
+                leader.receive_assistance_request(donor, servers[donor.index()].regime());
+                leader.record_partner_list();
+                let mut partners = receivers(leader, donor);
+                if partners.is_empty() {
+                    partners = optimal_receivers(servers, donor, config);
+                }
+                let receivers = cap(partners, config);
+                let mut moves = 0usize;
+                while moves < config.shed_moves_per_donor {
+                    let excess = servers[donor.index()].shed_pressure();
+                    if excess <= 0.0 {
+                        break;
+                    }
+                    let mut apps: Vec<(AppId, f64)> = servers[donor.index()]
+                        .apps()
+                        .iter()
+                        .map(|a| (a.id, a.demand))
+                        .collect();
+                    apps.sort_by(|a, b| {
+                        let (a_clears, b_clears) = (a.1 + EPS >= excess, b.1 + EPS >= excess);
+                        b_clears
+                            .cmp(&a_clears)
+                            .then_with(|| {
+                                if a_clears && b_clears {
+                                    a.1.total_cmp(&b.1)
+                                } else {
+                                    b.1.total_cmp(&a.1)
+                                }
+                            })
+                            .then(a.0.cmp(&b.0))
+                    });
+                    let fit = apps.iter().find_map(|&(app, demand)| {
+                        receivers
+                            .iter()
+                            .find(|rx| {
+                                let s = &servers[rx.index()];
+                                s.is_awake()
+                                    && s.load() + demand <= config.shed_fill.ceiling(s) + EPS
+                            })
+                            .map(|&rx| (app, rx))
+                    });
+                    match fit {
+                        Some((app, rx)) => {
+                            if commit(servers, donor, rx, app, ledger, outcome) {
+                                moves += 1;
+                            }
+                        }
+                        None => break,
+                    }
+                }
+                if servers[donor.index()].regime() == OperatingRegime::UndesirableHigh {
+                    outcome.unresolved_overloads.push(donor);
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn drain(
+            servers: &mut [Server],
+            leader: &mut Leader,
+            ledger: &mut DecisionLedger,
+            sleep_model: &SleepModel,
+            config: &BalanceConfig,
+            now: SimTime,
+            just_woken: &[ServerId],
+            outcome: &mut BalanceOutcome,
+        ) {
+            use ecolb_energy::power::PowerModel;
+            let cluster_load = cluster_load_fraction(servers);
+            let mut candidates: Vec<ServerId> = servers
+                .iter()
+                .filter(|s| {
+                    s.is_awake()
+                        && s.regime() == OperatingRegime::UndesirableLow
+                        && !just_woken.contains(&s.id())
+                })
+                .map(Server::id)
+                .collect();
+            candidates.sort_by(|&a, &b| {
+                let (sa, sb) = (&servers[a.index()], &servers[b.index()]);
+                sb.power()
+                    .idle_power_w()
+                    .total_cmp(&sa.power().idle_power_w())
+                    .then(sa.load().total_cmp(&sb.load()))
+                    .then(a.cmp(&b))
+            });
+            let mut processed = 0usize;
+            for cand in candidates {
+                if config
+                    .drain_candidates_per_interval
+                    .is_some_and(|budget| processed >= budget)
+                {
+                    break;
+                }
+                if servers[cand.index()].regime() != OperatingRegime::UndesirableLow
+                    || !servers[cand.index()].is_awake()
+                {
+                    continue;
+                }
+                processed += 1;
+                leader.receive_assistance_request(cand, OperatingRegime::UndesirableLow);
+                leader.record_partner_list();
+                let mut gathered = false;
+                for donor in cap(donors(leader, cand), config) {
+                    loop {
+                        let donor_srv = &servers[donor.index()];
+                        if !donor_srv.is_awake() || donor_srv.shed_pressure() <= 0.0 {
+                            break;
+                        }
+                        let cand_srv = &servers[cand.index()];
+                        let ceiling = config.shed_fill.ceiling(cand_srv);
+                        let pick = donor_srv
+                            .apps()
+                            .iter()
+                            .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
+                            .max_by(|x, y| x.demand.total_cmp(&y.demand))
+                            .map(|a| a.id);
+                        match pick {
+                            Some(app) if commit(servers, donor, cand, app, ledger, outcome) => {
+                                gathered = true;
+                            }
+                            _ => break,
+                        }
+                    }
+                    if servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
+                        break;
+                    }
+                }
+                if gathered {
+                    continue;
+                }
+                if !config.allow_sleep {
+                    outcome.failed_drains.push(cand);
+                    continue;
+                }
+                let receivers = cap(drain_receivers(servers, cand, config), config);
+                for _ in 0..config.drain_moves_per_candidate {
+                    let mut apps: Vec<(AppId, f64)> = servers[cand.index()]
+                        .apps()
+                        .iter()
+                        .map(|a| (a.id, a.demand))
+                        .collect();
+                    apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    let fit = apps.iter().find_map(|&(app, demand)| {
+                        receivers
+                            .iter()
+                            .find(|rx| {
+                                let s = &servers[rx.index()];
+                                s.is_awake()
+                                    && s.load() + demand <= config.drain_fill.ceiling(s) + EPS
+                            })
+                            .map(|&rx| (app, rx))
+                    });
+                    match fit {
+                        Some((app, rx)) if commit(servers, cand, rx, app, ledger, outcome) => {}
+                        _ => break,
+                    }
+                }
+                if servers[cand.index()].app_count() == 0 {
+                    if let Some(state) = config.sleep_policy.choose(cluster_load) {
+                        servers[cand.index()].enter_sleep(now, state, sleep_model);
+                        leader.receive_report(cand, OperatingRegime::UndesirableLow, 0.0, true);
+                        outcome.slept.push((cand, state));
+                    }
+                } else {
+                    outcome.failed_drains.push(cand);
+                }
+            }
+        }
+
+        /// [`balance_round`] with every partner found by scan and sort.
+        pub fn round(
+            servers: &mut [Server],
+            leader: &mut Leader,
+            ledger: &mut DecisionLedger,
+            config: &BalanceConfig,
+            now: SimTime,
+        ) -> BalanceOutcome {
+            let sleep_model = SleepModel::default();
+            let mut just_woken = Vec::new();
+            for s in servers.iter_mut() {
+                if s.wake_ready_at().is_some_and(|t| t <= now) {
+                    s.complete_wake(now);
+                    just_woken.push(s.id());
+                }
+            }
+            leader.full_report_sweep(servers);
+            let mut outcome = BalanceOutcome::default();
+            if !config.enabled {
+                return outcome;
+            }
+            shed(servers, leader, ledger, config, &mut outcome);
+            drain(
+                servers,
+                leader,
+                ledger,
+                &sleep_model,
+                config,
+                now,
+                &just_woken,
+                &mut outcome,
+            );
+            wake_phase(
+                servers,
+                leader,
+                &sleep_model,
+                config,
+                now,
+                &mut NoFaults,
+                &mut RecoveryStats::default(),
+                &mut NoTrace,
+                &mut outcome,
+            );
+            outcome
+        }
+    }
+
+    /// A random fleet for the oracle properties: paper-sampled or fixed
+    /// regime boundaries, sometimes busy, a few apps each, some servers asleep and some with a
+    /// wake maturing at `now`. Demands come from a small grid so equal
+    /// loads and equal headrooms exercise the id tie-breaks.
+    fn random_fleet(g: &mut ecolb_simcore::proptest_lite::Gen, now: SimTime) -> Vec<Server> {
+        let sleep = SleepModel::default();
+        let n = g.usize_in(2, 40);
+        let grid = g.rng().chance(0.5);
+        // A busy fleet has no server below the optimal band, so every
+        // shed takes the fallback to optimal-band receivers.
+        const BUSY_FLOOR: f64 = 0.475;
+        let busy = g.rng().chance(0.3);
+        let mut next_app = 0u64;
+        (0..n as u32)
+            .map(|i| {
+                // Grid boundaries make receivers whose headroom equals a
+                // demand up to rounding, the edge of the fit test.
+                let b = if grid {
+                    boundaries()
+                } else {
+                    RegimeBoundaries::sample_paper(g.rng())
+                };
+                let mut s = Server::new(ServerId(i), b, ServerPowerSpec::default(), SimTime::ZERO);
+                let mut room = g.f64_in(0.0, 1.0);
+                if busy {
+                    s.place_app(Application::new(AppId(next_app), BUSY_FLOOR, 0.01, 4.0));
+                    next_app += 1;
+                    room *= 1.0 - BUSY_FLOOR;
+                }
+                for _ in 0..g.usize_in(0, 5) {
+                    let demand = f64::from(g.u8_in(1, 20)) / 40.0;
+                    if demand <= room {
+                        room -= demand;
+                        s.place_app(Application::new(AppId(next_app), demand, 0.01, 4.0));
+                        next_app += 1;
+                    }
+                }
+                if s.app_count() == 0 && g.rng().chance(0.3) {
+                    s.enter_sleep(SimTime::ZERO, CState::C3, &sleep);
+                    if g.rng().chance(0.5) {
+                        s.begin_wake(SimTime::ZERO, &sleep);
+                        assert!(s.wake_ready_at().is_some_and(|t| t <= now));
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    fn random_config(g: &mut ecolb_simcore::proptest_lite::Gen) -> BalanceConfig {
+        const FILLS: [FillLimit; 3] = [FillLimit::OptLow, FillLimit::OptTarget, FillLimit::OptHigh];
+        BalanceConfig {
+            max_partners: g.rng().chance(0.5).then(|| g.usize_in(1, 5)),
+            drain_moves_per_candidate: g.usize_in(1, 5),
+            drain_candidates_per_interval: g.rng().chance(0.5).then(|| g.usize_in(1, 8)),
+            shed_moves_per_donor: g.usize_in(1, 6),
+            shed_fill: FILLS[g.usize_in(0, 3)],
+            drain_fill: FILLS[g.usize_in(0, 3)],
+            allow_sleep: g.rng().chance(0.9),
+            ..BalanceConfig::default()
+        }
+    }
+
+    /// Over random fleets and configs — partner caps, candidate caps and
+    /// several drain moves per candidate included — three consecutive
+    /// rounds on one reused scratch make exactly the decisions the
+    /// scan-and-sort oracle makes, leaving identical fleets, directories
+    /// and message counts. Demands drift between rounds, so the leader's
+    /// rosters go stale and the indexes are rebuilt from new state.
+    #[test]
+    fn indexed_round_matches_the_scan_and_sort_oracle() {
+        // Rounding edges of the early stops need many cases to hit.
+        ecolb_simcore::proptest_lite::check_cases("indexed_round_matches_oracle", 1024, |g| {
+            let now = SimTime::from_secs(60);
+            let config = random_config(g);
+            let mut servers = random_fleet(g, now);
+            let n = servers.len();
+            let (mut leader, mut oracle_leader) = (Leader::new(n), Leader::new(n));
+            let mut oracle_servers = servers.clone();
+            let mut scratch = BalanceScratch::default();
+            let (mut ledger, mut oracle_ledger) = (DecisionLedger::new(), DecisionLedger::new());
+            for round in 0..3 {
+                let at = now + ecolb_simcore::time::SimDuration::from_secs(round * 300);
+                let got = balance_round_scratch(
+                    &mut servers,
+                    &mut leader,
+                    &mut ledger,
+                    &MigrationCostModel::default(),
+                    &SleepModel::default(),
+                    &config,
+                    at,
+                    &mut NoFaults,
+                    &mut RecoveryStats::default(),
+                    &mut NoTrace,
+                    &mut scratch,
+                );
+                let want = oracle::round(
+                    &mut oracle_servers,
+                    &mut oracle_leader,
+                    &mut oracle_ledger,
+                    &config,
+                    at,
+                );
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "round {round}");
+                assert_eq!(format!("{servers:?}"), format!("{oracle_servers:?}"));
+                assert_eq!(leader.stats(), oracle_leader.stats());
+                assert_eq!(format!("{ledger:?}"), format!("{oracle_ledger:?}"));
+                for id in (0..n as u32).map(ServerId) {
+                    assert_eq!(leader.entry(id), oracle_leader.entry(id));
+                }
+                // Demand drift: shrink one app per awake server a little.
+                for (a, b) in servers.iter_mut().zip(oracle_servers.iter_mut()) {
+                    if a.is_awake() && a.app_count() > 0 && g.rng().chance(0.5) {
+                        let cut = f64::from(g.u8_in(1, 4)) / 100.0;
+                        for s in [a, b] {
+                            let app = &mut s.apps_mut()[0];
+                            app.demand = (app.demand - cut).max(0.0);
+                            s.refresh_load();
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Over random fleets and random commit and sleep sequences, the
+    /// drain-receiver and shed-fallback indexes re-keyed at both endpoints
+    /// of every commit (and at every sleep) hold exactly the receivers a
+    /// fresh fleet scan-and-sort finds, and the live-donor set holds
+    /// exactly the donor-roster members that can still give, in roster
+    /// order.
+    #[test]
+    fn partner_indexes_match_the_scan_and_sort_oracle() {
+        ecolb_simcore::proptest_lite::check_cases("partner_indexes_match_oracle", 512, |g| {
+            let now = SimTime::from_secs(60);
+            let config = random_config(g);
+            let mut servers = random_fleet(g, now);
+            for s in &mut servers {
+                if s.wake_ready_at().is_some() {
+                    s.complete_wake(now);
+                }
+            }
+            let n = servers.len();
+            let mut leader = Leader::new(n);
+            leader.full_report_sweep(&servers);
+            let nobody = ServerId(u32::MAX);
+            let roster = oracle::donors(&leader, nobody);
+            let (mut drain, mut optimal) = (ServerIndex::default(), ServerIndex::default());
+            let mut optimal_room = ServerIndex::default();
+            let mut live_donors = LiveDonors::default();
+            let mut work = 0;
+            drain.build(&servers, |s| drain_key(s, &config), &mut work);
+            optimal.build(&servers, |s| optimal_key(s, &config), &mut work);
+            optimal_room.build(&servers, |s| optimal_room_key(s, &config), &mut work);
+            live_donors.build(&servers, &roster, &mut work);
+            for _ in 0..g.usize_in(1, 30) {
+                let from = ServerId(g.usize_in(0, n) as u32);
+                let to = ServerId(g.usize_in(0, n) as u32);
+                let app = servers[from.index()].apps().first().map(|a| a.id);
+                let touched = match app {
+                    Some(app) if from != to && servers[to.index()].is_awake() => {
+                        let moved = commit_migration(
+                            &mut servers,
+                            from,
+                            to,
+                            app,
+                            &MigrationCostModel::default(),
+                        );
+                        assert!(moved.is_some());
+                        vec![from, to]
+                    }
+                    _ if servers[from.index()].app_count() == 0
+                        && servers[from.index()].is_awake() =>
+                    {
+                        let sleep = SleepModel::default();
+                        servers[from.index()].enter_sleep(now, CState::C6, &sleep);
+                        vec![from]
+                    }
+                    _ => continue,
+                };
+                for id in touched {
+                    let s = &servers[id.index()];
+                    drain.rekey(id, drain_key(s, &config), &mut work);
+                    optimal.rekey(id, optimal_key(s, &config), &mut work);
+                    optimal_room.rekey(id, optimal_room_key(s, &config), &mut work);
+                    live_donors.update(s);
+                }
+                let ids = |index: &ServerIndex| -> Vec<ServerId> {
+                    index.slots.iter().map(|slot| slot.id).collect()
+                };
+                assert_eq!(
+                    ids(&drain),
+                    oracle::drain_receivers(&servers, nobody, &config)
+                );
+                let mut roomiest = oracle::optimal_receivers(&servers, nobody, &config);
+                assert_eq!(ids(&optimal), roomiest);
+                let room = |id: &ServerId| {
+                    let s = &servers[id.index()];
+                    config.shed_fill.ceiling(s) - s.load()
+                };
+                roomiest.sort_by(|a, b| room(b).total_cmp(&room(a)).then(a.cmp(b)));
+                assert_eq!(ids(&optimal_room), roomiest);
+                let live: Vec<ServerId> = live_donors.by_pos.values().copied().collect();
+                let want: Vec<ServerId> = roster
+                    .iter()
+                    .copied()
+                    .filter(|id| can_give(&servers[id.index()]))
+                    .collect();
+                assert_eq!(live, want);
+            }
+        });
     }
 }

@@ -404,6 +404,14 @@ impl Cluster {
         &self.interval_migrations
     }
 
+    /// Partner-search work of every balancing round so far: roster and
+    /// index entries the partner walks visited, index re-keys, and entries
+    /// sorted or indexed by rebuilds. A deterministic count, so a scaling
+    /// gate on it is exact on any host.
+    pub fn partner_search_work(&self) -> u64 {
+        self.scratch.balance.partner_search_work()
+    }
+
     /// Admission statistics so far.
     pub fn admission_stats(&self) -> AdmissionStats {
         self.admission.stats()

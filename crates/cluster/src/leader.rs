@@ -25,34 +25,90 @@ pub struct DirectoryEntry {
 /// The cluster leader: regime directory + partner search + message
 /// accounting.
 ///
-/// Partner searches are on the per-candidate hot path of the balancing
-/// round, so the leader keeps two occupancy counters (awake underloaded /
-/// awake overloaded entries) in sync with the directory. When a counter is
-/// zero the search answers in O(1) instead of scanning the whole
-/// directory — at low cluster load "no donors anywhere" is the common
-/// case, which used to cost O(n) per drain candidate.
+/// Partner searches are on the per-donor / per-candidate hot path of the
+/// balancing round, so the leader keeps each search's answer as a
+/// **roster**: the matching directory entries, sorted by that search's key
+/// in a reused buffer. A directory write marks a roster stale only when it
+/// changes that roster's members or keys, and a stale roster is re-sorted
+/// on its next query. The shed phase never writes the directory and a
+/// sleeping-R1 report never touches the donor roster, so a balancing round
+/// sorts each roster about once. A query copies the roster minus the
+/// requester; the balancing round walks `receiver_roster` and
+/// `donor_roster` lazily instead. Both rosters start empty and
+/// grow on first use.
 #[derive(Debug, Clone)]
 pub struct Leader {
     directory: Vec<Option<DirectoryEntry>>,
     stats: MessageStats,
-    /// Count of directory entries with `!sleeping && regime.is_underloaded()`.
-    underloaded_awake: u32,
-    /// Count of directory entries with `!sleeping && regime.is_overloaded()`.
-    overloaded_awake: u32,
-    /// Reusable sort buffer for the partner searches.
-    scratch: Vec<(ServerId, OperatingRegime, f64)>,
+    /// Awake R1/R2 entries, heaviest first, then lowest id.
+    receivers: Roster,
+    /// Awake R4/R5 entries, R5 first, then heaviest, then lowest id.
+    donors: Roster,
+    /// Reusable sort buffer for roster rebuilds.
+    scratch: Vec<SortInput>,
 }
 
-/// This entry's contribution to the (underloaded, overloaded) occupancy
-/// counters.
-fn occupancy(e: &DirectoryEntry) -> (u32, u32) {
-    if e.sleeping {
-        (0, 0)
-    } else {
-        (
-            u32::from(e.regime.is_underloaded()),
-            u32::from(e.regime.is_overloaded()),
-        )
+/// A roster member's sort input: id, reported regime, reported load.
+type SortInput = (ServerId, OperatingRegime, f64);
+
+/// One partner search's answer, requester not yet excluded.
+#[derive(Debug, Clone, Default)]
+struct Roster {
+    /// Members in search order.
+    ids: Vec<ServerId>,
+    /// A directory write changed a member or a sort key since the last
+    /// sort.
+    stale: bool,
+}
+
+/// Receiver-roster membership: awake and reported in R1 or R2.
+fn is_receiver(e: &DirectoryEntry) -> bool {
+    !e.sleeping && e.regime.is_underloaded()
+}
+
+/// Donor-roster membership: awake and reported in R4 or R5.
+fn is_donor(e: &DirectoryEntry) -> bool {
+    !e.sleeping && e.regime.is_overloaded()
+}
+
+/// An entry's place in the receiver roster: its sort key if it is a
+/// member.
+fn receiver_key(e: &Option<DirectoryEntry>) -> Option<u64> {
+    e.filter(is_receiver).map(|e| e.load.to_bits())
+}
+
+/// An entry's place in the donor roster: its sort key if it is a member.
+fn donor_key(e: &Option<DirectoryEntry>) -> Option<(usize, u64)> {
+    e.filter(is_donor)
+        .map(|e| (e.regime.index(), e.load.to_bits()))
+}
+
+impl Roster {
+    /// Re-sorts the roster from `directory` if a write made it stale,
+    /// adding the number of entries sorted to `work`.
+    fn refresh(
+        &mut self,
+        directory: &[Option<DirectoryEntry>],
+        scratch: &mut Vec<SortInput>,
+        member: fn(&DirectoryEntry) -> bool,
+        order: fn(&SortInput, &SortInput) -> std::cmp::Ordering,
+        work: &mut u64,
+    ) -> &[ServerId] {
+        if self.stale {
+            scratch.clear();
+            scratch.extend(directory.iter().enumerate().filter_map(|(i, e)| {
+                let e = (*e)?;
+                member(&e).then_some((ServerId(i as u32), e.regime, e.load))
+            }));
+            // The id tie-break makes the order total, so an unstable sort
+            // gives the one possible answer.
+            scratch.sort_unstable_by(order);
+            *work += scratch.len() as u64;
+            self.ids.clear();
+            self.ids.extend(scratch.iter().map(|&(id, _, _)| id));
+            self.stale = false;
+        }
+        &self.ids
     }
 }
 
@@ -62,8 +118,8 @@ impl Leader {
         Leader {
             directory: vec![None; n],
             stats: MessageStats::default(),
-            underloaded_awake: 0,
-            overloaded_awake: 0,
+            receivers: Roster::default(),
+            donors: Roster::default(),
             scratch: Vec::new(),
         }
     }
@@ -71,6 +127,15 @@ impl Leader {
     /// Number of directory slots.
     pub fn capacity(&self) -> usize {
         self.directory.len()
+    }
+
+    /// Overwrites one directory slot, marking each roster stale whose
+    /// members or keys the write changes.
+    fn set_entry(&mut self, id: ServerId, entry: Option<DirectoryEntry>) {
+        let slot = &mut self.directory[id.index()];
+        self.receivers.stale |= receiver_key(slot) != receiver_key(&entry);
+        self.donors.stale |= donor_key(slot) != donor_key(&entry);
+        *slot = entry;
     }
 
     /// Ingests a regime report (paper: "the leader is informed
@@ -84,21 +149,14 @@ impl Leader {
     ) {
         let msg = Message::RegimeReport { from, regime, load };
         self.stats.record(&msg);
-        let entry = DirectoryEntry {
-            regime,
-            load,
-            sleeping,
-        };
-        let slot = &mut self.directory[from.index()];
-        if let Some(old) = slot {
-            let (u, o) = occupancy(old);
-            self.underloaded_awake -= u;
-            self.overloaded_awake -= o;
-        }
-        let (u, o) = occupancy(&entry);
-        self.underloaded_awake += u;
-        self.overloaded_awake += o;
-        *slot = Some(entry);
+        self.set_entry(
+            from,
+            Some(DirectoryEntry {
+                regime,
+                load,
+                sleeping,
+            }),
+        );
     }
 
     /// Refreshes the whole directory from live server state — the
@@ -125,6 +183,48 @@ impl Leader {
         census
     }
 
+    /// Accounts one partner-list reply. The reply — possibly an empty list
+    /// — always counts as one message; the variant counter is all
+    /// `record` would update, so bump it directly instead of
+    /// materialising a `Message::PartnerList` with a cloned candidate vec.
+    pub(crate) fn record_partner_list(&mut self) {
+        self.stats.partner_lists += 1;
+    }
+
+    /// The receiver roster: awake servers reported in R1 or R2, sorted by
+    /// *descending* load, then ascending id. Re-sorted first if stale,
+    /// adding the entries sorted to `work`. Accounts no message.
+    pub(crate) fn receiver_roster(&mut self, work: &mut u64) -> &[ServerId] {
+        self.receivers.refresh(
+            &self.directory,
+            &mut self.scratch,
+            is_receiver,
+            // total_cmp keeps the broker panic-free even if a load ever
+            // went NaN; ordering for finite loads is identical to
+            // partial_cmp.
+            |a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)),
+            work,
+        )
+    }
+
+    /// The donor roster: awake servers reported in R4 or R5, R5 (urgent)
+    /// first, then by descending load, then ascending id. Re-sorted first
+    /// if stale, adding the entries sorted to `work`. Accounts no message.
+    pub(crate) fn donor_roster(&mut self, work: &mut u64) -> &[ServerId] {
+        self.donors.refresh(
+            &self.directory,
+            &mut self.scratch,
+            is_donor,
+            |a, b| {
+                b.1.index()
+                    .cmp(&a.1.index())
+                    .then(b.2.total_cmp(&a.2))
+                    .then(a.0.cmp(&b.0))
+            },
+            work,
+        )
+    }
+
     /// Searches for **receivers**: awake servers reported in R1 or R2,
     /// excluding `requester`. Sorted by *descending* load — filling the
     /// fullest underloaded server first concentrates the workload, which is
@@ -140,28 +240,10 @@ impl Leader {
     /// buffer so hot loops can reuse the allocation. `out` is cleared
     /// first.
     pub fn find_receivers_into(&mut self, requester: ServerId, out: &mut Vec<ServerId>) {
+        self.record_partner_list();
         out.clear();
-        // The reply — possibly an empty list — always counts as one
-        // partner-list message; the variant counter is all `record` would
-        // update, so bump it directly instead of materialising a
-        // `Message::PartnerList` with a cloned candidate vec.
-        self.stats.partner_lists += 1;
-        if self.underloaded_awake == 0 {
-            return;
-        }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.directory.iter().enumerate().filter_map(|(i, e)| {
-                let e = (*e)?;
-                let id = ServerId(i as u32);
-                (id != requester && !e.sleeping && e.regime.is_underloaded())
-                    .then_some((id, e.regime, e.load))
-            }));
-        // total_cmp keeps the broker panic-free even if a load ever went
-        // NaN; ordering for finite loads is identical to partial_cmp.
-        self.scratch
-            .sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-        out.extend(self.scratch.iter().map(|&(id, _, _)| id));
+        let roster = self.receiver_roster(&mut 0);
+        out.extend(roster.iter().copied().filter(|&id| id != requester));
     }
 
     /// Searches for **donors**: awake servers reported in R4 or R5,
@@ -175,26 +257,10 @@ impl Leader {
     /// [`Leader::find_donors`], writing the ids into a caller-owned buffer
     /// so hot loops can reuse the allocation. `out` is cleared first.
     pub fn find_donors_into(&mut self, requester: ServerId, out: &mut Vec<ServerId>) {
+        self.record_partner_list();
         out.clear();
-        self.stats.partner_lists += 1;
-        if self.overloaded_awake == 0 {
-            return;
-        }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.directory.iter().enumerate().filter_map(|(i, e)| {
-                let e = (*e)?;
-                let id = ServerId(i as u32);
-                (id != requester && !e.sleeping && e.regime.is_overloaded())
-                    .then_some((id, e.regime, e.load))
-            }));
-        self.scratch.sort_by(|a, b| {
-            b.1.index()
-                .cmp(&a.1.index())
-                .then(b.2.total_cmp(&a.2))
-                .then(a.0.cmp(&b.0))
-        });
-        out.extend(self.scratch.iter().map(|&(id, _, _)| id));
+        let roster = self.donor_roster(&mut 0);
+        out.extend(roster.iter().copied().filter(|&id| id != requester));
     }
 
     /// Sleeping servers eligible for a wake order (§4 action 5), shallowest
@@ -212,14 +278,15 @@ impl Leader {
     /// Issues (and accounts) a wake order.
     pub fn issue_wake_order(&mut self, to: ServerId) {
         self.stats.record(&Message::WakeOrder { to });
-        if let Some(e) = &mut self.directory[to.index()] {
-            let (u, o) = occupancy(e);
-            self.underloaded_awake -= u;
-            self.overloaded_awake -= o;
-            e.sleeping = false; // optimistic: the server is now waking
-            let (u, o) = occupancy(e);
-            self.underloaded_awake += u;
-            self.overloaded_awake += o;
+        if let Some(e) = self.directory[to.index()] {
+            // Optimistic: the server is now waking.
+            self.set_entry(
+                to,
+                Some(DirectoryEntry {
+                    sleeping: false,
+                    ..e
+                }),
+            );
         }
     }
 
@@ -227,22 +294,16 @@ impl Leader {
     /// to have crashed, so the broker stops offering it as a partner until
     /// it reports again after recovery.
     pub fn mark_offline(&mut self, id: ServerId) {
-        if let Some(e) = self.directory[id.index()].take() {
-            let (u, o) = occupancy(&e);
-            self.underloaded_awake -= u;
-            self.overloaded_awake -= o;
-        }
+        self.set_entry(id, None);
     }
 
     /// Forgets every directory entry while keeping message statistics.
     /// A freshly elected leader starts from an empty directory and must
     /// rebuild it with a [`Leader::full_report_sweep`].
     pub fn reset_directory(&mut self) {
-        for e in &mut self.directory {
-            *e = None;
-        }
-        self.underloaded_awake = 0;
-        self.overloaded_awake = 0;
+        self.directory.fill(None);
+        self.receivers.stale = true;
+        self.donors.stale = true;
     }
 
     /// Records an assistance request from a server.
@@ -422,11 +483,11 @@ mod tests {
         );
     }
 
-    /// The occupancy counters used for the O(1) "no partners" early exit
-    /// must track every directory mutation path (report, wake order,
-    /// offline, reset) — drift would make searches silently return empty.
+    /// The cached rosters must go stale on every directory mutation path
+    /// that changes them (report, wake order, offline, reset) — a missed
+    /// one would make searches silently answer from old state.
     #[test]
-    fn occupancy_counters_track_directory_mutations() {
+    fn rosters_track_directory_mutations() {
         let sm = SleepModel::default();
         let mut servers = vec![
             mk_server(0, 0.1),
@@ -437,7 +498,7 @@ mod tests {
         servers[3].enter_sleep(SimTime::ZERO, CState::C3, &sm);
         let mut leader = Leader::new(4);
         leader.full_report_sweep(&servers);
-        // Re-reporting the same server must not double count.
+        // Re-reporting the same state must not change the answers.
         leader.full_report_sweep(&servers);
         assert_eq!(
             leader.find_receivers(ServerId(1)),
@@ -459,9 +520,118 @@ mod tests {
         leader.reset_directory();
         assert!(leader.find_receivers(ServerId(1)).is_empty());
         assert!(leader.find_donors(ServerId(0)).is_empty());
-        // A fresh sweep rebuilds counters from scratch.
+        // A fresh sweep rebuilds the rosters from scratch.
         leader.full_report_sweep(&servers);
         assert_eq!(leader.find_donors(ServerId(0)), vec![ServerId(1)]);
+    }
+
+    /// The scan-and-sort receiver search the roster replaced: the test
+    /// oracle for [`Leader::receiver_roster`].
+    fn oracle_receivers(leader: &Leader, requester: ServerId) -> Vec<ServerId> {
+        let mut found: Vec<(ServerId, f64)> = (0..leader.capacity())
+            .filter_map(|i| {
+                let id = ServerId(i as u32);
+                let e = leader.entry(id)?;
+                (id != requester && !e.sleeping && e.regime.is_underloaded())
+                    .then_some((id, e.load))
+            })
+            .collect();
+        found.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        found.into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// The scan-and-sort donor search the roster replaced: the test oracle
+    /// for [`Leader::donor_roster`].
+    fn oracle_donors(leader: &Leader, requester: ServerId) -> Vec<ServerId> {
+        let mut found: Vec<(ServerId, OperatingRegime, f64)> = (0..leader.capacity())
+            .filter_map(|i| {
+                let id = ServerId(i as u32);
+                let e = leader.entry(id)?;
+                (id != requester && !e.sleeping && e.regime.is_overloaded())
+                    .then_some((id, e.regime, e.load))
+            })
+            .collect();
+        found.sort_by(|a, b| {
+            b.1.index()
+                .cmp(&a.1.index())
+                .then(b.2.total_cmp(&a.2))
+                .then(a.0.cmp(&b.0))
+        });
+        found.into_iter().map(|(id, _, _)| id).collect()
+    }
+
+    /// The balance round's lazy walk: the first `cap` roster members other
+    /// than `requester`.
+    fn walk(roster: &[ServerId], requester: ServerId, cap: usize) -> Vec<ServerId> {
+        roster
+            .iter()
+            .copied()
+            .filter(|&id| id != requester)
+            .take(cap)
+            .collect()
+    }
+
+    /// Over random directories and random interleavings of every directory
+    /// mutation with queries, the cached rosters answer exactly what a
+    /// fresh scan-and-sort would — through the copying searches and
+    /// through the capped lazy walk alike — and every query accounts one
+    /// partner-list message.
+    #[test]
+    fn rosters_match_the_scan_and_sort_oracle() {
+        use ecolb_simcore::proptest_lite::{check_cases, Gen};
+        const REGIMES: [OperatingRegime; 5] = [
+            OperatingRegime::UndesirableLow,
+            OperatingRegime::SuboptimalLow,
+            OperatingRegime::Optimal,
+            OperatingRegime::SuboptimalHigh,
+            OperatingRegime::UndesirableHigh,
+        ];
+        // Few distinct loads, so equal keys exercise the id tie-break.
+        fn random_load(g: &mut Gen) -> f64 {
+            f64::from(g.u8_in(0, 12)) / 10.0
+        }
+        check_cases("rosters_match_the_scan_and_sort_oracle", 512, |g| {
+            let n = g.usize_in(1, 30);
+            let mut leader = Leader::new(n);
+            for _ in 0..g.usize_in(0, 2 * n) {
+                let id = ServerId(g.usize_in(0, n) as u32);
+                let regime = REGIMES[g.usize_in(0, REGIMES.len())];
+                let load = random_load(g);
+                let sleeping = g.rng().chance(0.25);
+                leader.receive_report(id, regime, load, sleeping);
+            }
+            for _ in 0..g.usize_in(1, 40) {
+                let id = ServerId(g.usize_in(0, n) as u32);
+                match g.usize_in(0, 10) {
+                    0..=3 => {
+                        let regime = REGIMES[g.usize_in(0, REGIMES.len())];
+                        let load = random_load(g);
+                        let sleeping = g.rng().chance(0.25);
+                        leader.receive_report(id, regime, load, sleeping);
+                    }
+                    4 => leader.issue_wake_order(id),
+                    5 => leader.mark_offline(id),
+                    6 if g.rng().chance(0.2) => leader.reset_directory(),
+                    _ => {
+                        let cap = match g.usize_in(0, 3) {
+                            0 => usize::MAX,
+                            _ => g.usize_in(1, n + 2),
+                        };
+                        let (rx, dn) = (oracle_receivers(&leader, id), oracle_donors(&leader, id));
+                        let lists = leader.stats().partner_lists;
+                        assert_eq!(leader.find_receivers(id), rx);
+                        assert_eq!(leader.find_donors(id), dn);
+                        assert_eq!(leader.stats().partner_lists, lists + 2);
+                        let mut work = 0;
+                        let cap_rx = rx.iter().copied().take(cap).collect::<Vec<_>>();
+                        assert_eq!(walk(leader.receiver_roster(&mut work), id, cap), cap_rx);
+                        let cap_dn = dn.iter().copied().take(cap).collect::<Vec<_>>();
+                        assert_eq!(walk(leader.donor_roster(&mut work), id, cap), cap_dn);
+                        assert_eq!(work, 0, "the searches above already re-sorted");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
