@@ -9,6 +9,7 @@
 //! has crept back in.
 
 use ecolb_chaos::{run_plan, ReproArtifact};
+use ecolb_metrics::json::ToJson;
 use std::path::PathBuf;
 
 fn corpus_files() -> Vec<PathBuf> {
@@ -32,6 +33,12 @@ fn regression_corpus_replays_clean() {
         let text = std::fs::read_to_string(&path).expect("read corpus file");
         let artifact = ReproArtifact::parse(&text)
             .unwrap_or_else(|e| panic!("{}: unparseable corpus file: {e}", path.display()));
+        assert_eq!(
+            ReproArtifact::parse(&artifact.to_json()).as_ref(),
+            Ok(&artifact),
+            "{}: the JSON round trip changed the artifact",
+            path.display()
+        );
         let outcome = run_plan(&artifact.scenario, &artifact.plan);
         assert!(
             outcome.ok(),

@@ -32,7 +32,7 @@ use ecolb_energy::regimes::OperatingRegime;
 use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
 use ecolb_simcore::time::SimTime;
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
-use ecolb_workload::application::AppId;
+use ecolb_workload::application::{AppId, Application};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,10 +72,9 @@ pub struct BalanceConfig {
     /// at all (the "wasteful resource management policy when the servers
     /// are always on" the paper argues against — the natural baseline).
     pub enabled: bool,
-    /// Sleep-state selection rule.
+    /// Sleep-state selection rule; [`SleepPolicy::NeverSleep`] is the
+    /// no-sleep ablation (drained servers stay awake).
     pub sleep_policy: SleepPolicy,
-    /// Master switch for the drain-and-sleep phase.
-    pub allow_sleep: bool,
     /// Fill ceiling for receivers of shed (overload) traffic.
     pub shed_fill: FillLimit,
     /// Fill ceiling for receivers of drain (consolidation) traffic.
@@ -112,7 +111,6 @@ impl Default for BalanceConfig {
         BalanceConfig {
             enabled: true,
             sleep_policy: SleepPolicy::default(),
-            allow_sleep: true,
             shed_fill: FillLimit::OptHigh,
             drain_fill: FillLimit::OptLow,
             max_partners: None,
@@ -175,32 +173,66 @@ pub fn cluster_load_fraction(servers: &[Server]) -> f64 {
     servers.iter().map(Server::load).sum::<f64>() / servers.len() as f64
 }
 
-/// Moves `app` from `from` to `to`, updating loads and counters; the move
-/// is applied instantaneously (the timed variant lives in the event-driven
-/// simulation layer, which replays the same records with delays). `None`
-/// if `from` no longer hosts `app` — callers treat that as "nothing to
-/// move" and the chaos invariant checker would flag any VM imbalance it
-/// caused.
-fn commit_migration(
+/// Lands `vm` on `to` as a transfer from `from`: the one commit every VM
+/// move goes through, the balancing round's and the scaling decisions'
+/// alike. `vm` is already off its origin, or was created for `to` by a
+/// scale-out. Charges the migration cost, counts the arrival, places the
+/// VM, traces the move and appends its record to `records`. The move is
+/// instantaneous here; the timed drivers replay the records with delays.
+#[allow(clippy::too_many_arguments)] // one argument per seam the move touches
+pub(crate) fn land(
+    servers: &mut [Server],
+    from: ServerId,
+    to: ServerId,
+    vm: Application,
+    model: &MigrationCostModel,
+    now: SimTime,
+    tracer: &mut dyn Tracer,
+    records: &mut Vec<MigrationRecord>,
+) -> MigrationRecord {
+    let rec = MigrationRecord {
+        from,
+        to,
+        app: vm.id,
+        demand: vm.demand,
+        cost: model.cost_of(&vm),
+    };
+    servers[to.index()].migrations_in += 1;
+    servers[to.index()].place_app(vm);
+    tracer.event(
+        now.ticks(),
+        TraceEventKind::Migration {
+            from: from.0,
+            to: to.0,
+            app: rec.app.0,
+            demand: rec.demand,
+        },
+    );
+    records.push(rec);
+    rec
+}
+
+/// Moves `app` off `from`, counting the departure, and [`land`]s it on
+/// `to` with its demand grown by `growth` (a VM that outgrew its host;
+/// balancing moves pass 0). `None` if `from` no longer hosts `app` —
+/// callers treat that as "nothing to move", and the chaos invariant
+/// checker would flag any VM imbalance it caused.
+#[allow(clippy::too_many_arguments)] // one argument per seam the move touches
+pub(crate) fn migrate(
     servers: &mut [Server],
     from: ServerId,
     to: ServerId,
     app: AppId,
+    growth: f64,
     model: &MigrationCostModel,
+    now: SimTime,
+    tracer: &mut dyn Tracer,
+    records: &mut Vec<MigrationRecord>,
 ) -> Option<MigrationRecord> {
-    let application = servers[from.index()].take_app(app)?;
-    let demand = application.demand;
-    let cost = model.cost_of(&application);
+    let mut vm = servers[from.index()].take_app(app)?;
     servers[from.index()].migrations_out += 1;
-    servers[to.index()].migrations_in += 1;
-    servers[to.index()].place_app(application);
-    Some(MigrationRecord {
-        from,
-        to,
-        app,
-        demand,
-        cost,
-    })
+    vm.demand += growth;
+    Some(land(servers, from, to, vm, model, now, tracer, records))
 }
 
 /// The partners a requester negotiates with: the members of `list` other
@@ -433,19 +465,6 @@ fn cstate_label(state: CState) -> &'static str {
     }
 }
 
-/// Emits the trace event for one committed migration.
-fn trace_migration(tracer: &mut dyn Tracer, now: SimTime, rec: &MigrationRecord) {
-    tracer.event(
-        now.ticks(),
-        TraceEventKind::Migration {
-            from: rec.from.0,
-            to: rec.to.0,
-            app: rec.app.0,
-            demand: rec.demand,
-        },
-    );
-}
-
 /// Phase 1 — overloaded servers (R4, R5) shed VMs to underloaded
 /// receivers.
 #[allow(clippy::too_many_arguments)] // phases share the round's full context
@@ -453,7 +472,7 @@ fn shed_phase(
     servers: &mut [Server],
     leader: &mut Leader,
     ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
+    model: &MigrationCostModel,
     config: &BalanceConfig,
     now: SimTime,
     tracer: &mut dyn Tracer,
@@ -581,13 +600,13 @@ fn shed_phase(
                 };
                 rx.map(|rx| (app, rx))
             });
-            let Some(rec) = placed
-                .and_then(|(app, rx)| commit_migration(servers, donor, rx, app, migration_model))
-            else {
+            let records = &mut outcome.migrations;
+            let moved = placed.and_then(|(app, rx)| {
+                migrate(servers, donor, rx, app, 0.0, model, now, tracer, records)
+            });
+            if moved.is_none() {
                 break; // nothing placeable anywhere
-            };
-            trace_migration(tracer, now, &rec);
-            outcome.migrations.push(rec);
+            }
             ledger.record(DecisionKind::InClusterHorizontal);
             moves += 1;
         }
@@ -618,7 +637,7 @@ fn gather(
     cand: ServerId,
     donors: impl Iterator<Item = ServerId>,
     ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
+    model: &MigrationCostModel,
     config: &BalanceConfig,
     now: SimTime,
     tracer: &mut dyn Tracer,
@@ -642,16 +661,15 @@ fn gather(
                 .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
                 .max_by(|x, y| x.demand.total_cmp(&y.demand))
                 .map(|a| a.id);
-            match pick.and_then(|app| commit_migration(servers, donor, cand, app, migration_model))
-            {
-                Some(rec) => {
-                    trace_migration(tracer, now, &rec);
-                    outcome.migrations.push(rec);
-                    ledger.record(DecisionKind::InClusterHorizontal);
-                    gathered = true;
-                }
-                None => break,
+            let records = &mut outcome.migrations;
+            let moved = pick.and_then(|app| {
+                migrate(servers, donor, cand, app, 0.0, model, now, tracer, records)
+            });
+            if moved.is_none() {
+                break;
             }
+            ledger.record(DecisionKind::InClusterHorizontal);
+            gathered = true;
         }
         if servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
             break; // candidate climbed out of R1
@@ -672,7 +690,7 @@ fn drain_phase(
     servers: &mut [Server],
     leader: &mut Leader,
     ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
+    model: &MigrationCostModel,
     sleep_model: &SleepModel,
     config: &BalanceConfig,
     now: SimTime,
@@ -776,29 +794,17 @@ fn drain_phase(
             };
             let donors = donors.filter(|&id| id != cand);
             gather(
-                servers,
-                cand,
-                donors,
-                ledger,
-                migration_model,
-                config,
-                now,
-                tracer,
-                outcome,
-                work,
+                servers, cand, donors, ledger, model, config, now, tracer, outcome, work,
             )
         };
-        if gathered {
-            // gathering resolved (or improved) this candidate
-        } else if !config.allow_sleep {
-            outcome.failed_drains.push(cand);
-        } else {
-            // Option B: drain into R2 receivers filled at most to the drain
-            // ceiling. The per-interval transfer budget means a loaded
-            // server drains over several intervals; it sleeps only once
-            // empty. Most spare drain capacity first maximises placement
-            // success. The index is re-keyed only after the move loop, so
-            // every move walks the order the candidate first saw.
+        // Unless gathering resolved (or improved) this candidate, Option B:
+        // drain into R2 receivers filled at most to the drain ceiling. The
+        // per-interval transfer budget means a loaded server drains over
+        // several intervals; it sleeps only once empty. Most spare drain
+        // capacity first maximises placement success. The index is re-keyed
+        // only after the move loop, so every move walks the order the
+        // candidate first saw.
+        if !gathered {
             let mut moved = 0usize;
             while moved < config.drain_moves_per_candidate {
                 apps.clear();
@@ -824,17 +830,15 @@ fn drain_phase(
                         })
                         .map(|slot| (app, slot.id))
                 });
-                match placed
-                    .and_then(|(app, rx)| commit_migration(servers, cand, rx, app, migration_model))
-                {
-                    Some(rec) => {
-                        trace_migration(tracer, now, &rec);
-                        outcome.migrations.push(rec);
-                        ledger.record(DecisionKind::InClusterHorizontal);
-                        moved += 1;
-                    }
-                    None => break,
+                let records = &mut outcome.migrations;
+                let landed = placed.and_then(|(app, rx)| {
+                    migrate(servers, cand, rx, app, 0.0, model, now, tracer, records)
+                });
+                if landed.is_none() {
+                    break;
                 }
+                ledger.record(DecisionKind::InClusterHorizontal);
+                moved += 1;
             }
 
             if servers[cand.index()].app_count() == 0 {
@@ -882,13 +886,12 @@ fn wake_phase(
     if outcome.unresolved_overloads.is_empty() {
         return;
     }
-    let still_critical: Vec<ServerId> = outcome
+    let still_critical = outcome
         .unresolved_overloads
         .iter()
-        .copied()
         .filter(|id| servers[id.index()].regime() == OperatingRegime::UndesirableHigh)
-        .collect();
-    for _ in still_critical {
+        .count();
+    for _ in 0..still_critical {
         let sleepers = leader.find_sleepers(servers);
         for id in sleepers.into_iter().take(config.wakes_per_emergency) {
             leader.issue_wake_order(id);
@@ -1334,19 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_disabled_keeps_everyone_awake() {
-        let (mut servers, mut leader) = mk_cluster(&[&[0.05, 0.05], &[0.25], &[0.25]]);
-        let config = BalanceConfig {
-            allow_sleep: false,
-            ..Default::default()
-        };
-        let out = run(&mut servers, &mut leader, &config);
-        assert!(out.slept.is_empty());
-        assert!(servers.iter().all(Server::is_awake));
-        assert_eq!(out.failed_drains, vec![ServerId(0)]);
-    }
-
-    #[test]
     fn partner_cap_limits_negotiation() {
         // Donor must spread over two receivers, but the cap allows one.
         let (mut servers, mut leader) = mk_cluster(&[&[0.45, 0.45], &[0.25], &[0.25]]);
@@ -1664,12 +1654,23 @@ mod tests {
             ledger: &mut DecisionLedger,
             outcome: &mut BalanceOutcome,
         ) -> bool {
-            let rec = commit_migration(servers, from, to, app, &MigrationCostModel::default());
-            if let Some(rec) = rec {
-                outcome.migrations.push(rec);
+            let (model, at) = (MigrationCostModel::default(), SimTime::ZERO);
+            let records = &mut outcome.migrations;
+            let moved = migrate(
+                servers,
+                from,
+                to,
+                app,
+                0.0,
+                &model,
+                at,
+                &mut NoTrace,
+                records,
+            );
+            if moved.is_some() {
                 ledger.record(DecisionKind::InClusterHorizontal);
             }
-            rec.is_some()
+            moved.is_some()
         }
 
         fn shed(
@@ -1827,10 +1828,6 @@ mod tests {
                 if gathered {
                     continue;
                 }
-                if !config.allow_sleep {
-                    outcome.failed_drains.push(cand);
-                    continue;
-                }
                 let receivers = cap(drain_receivers(servers, cand, config), config);
                 for _ in 0..config.drain_moves_per_candidate {
                     let mut apps: Vec<(AppId, f64)> = servers[cand.index()]
@@ -1971,7 +1968,6 @@ mod tests {
             shed_moves_per_donor: g.usize_in(1, 6),
             shed_fill: FILLS[g.usize_in(0, 3)],
             drain_fill: FILLS[g.usize_in(0, 3)],
-            allow_sleep: g.rng().chance(0.9),
             ..BalanceConfig::default()
         }
     }
@@ -2074,12 +2070,16 @@ mod tests {
                 let app = servers[from.index()].apps().first().map(|a| a.id);
                 let touched = match app {
                     Some(app) if from != to && servers[to.index()].is_awake() => {
-                        let moved = commit_migration(
+                        let moved = migrate(
                             &mut servers,
                             from,
                             to,
                             app,
+                            0.0,
                             &MigrationCostModel::default(),
+                            now,
+                            &mut NoTrace,
+                            &mut Vec::new(),
                         );
                         assert!(moved.is_some());
                         vec![from, to]

@@ -22,8 +22,8 @@ use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
 use crate::balance::{
-    balance_round_scratch, cluster_load_fraction, BalanceConfig, BalanceOutcome, BalanceScratch,
-    MigrationRecord,
+    balance_round_scratch, cluster_load_fraction, land, migrate, BalanceConfig, BalanceOutcome,
+    BalanceScratch, MigrationRecord,
 };
 use crate::leader::Leader;
 use crate::messages::Message;
@@ -46,6 +46,17 @@ use ecolb_workload::generator::{generate_server_apps, AppIdAllocator, WorkloadSp
 /// Demand floor below which a VM is decommissioned (its application has
 /// effectively gone idle).
 const VM_RETIRE_FLOOR: f64 = 0.005;
+
+/// Records one scaling decision in the ledger and the trace.
+fn decide(ledger: &mut DecisionLedger, tracer: &mut dyn Tracer, now: SimTime, kind: DecisionKind) {
+    ledger.record(kind);
+    tracer.event(
+        now.ticks(),
+        TraceEventKind::Decision {
+            decision: kind.label(),
+        },
+    );
+}
 
 /// Full configuration of a cluster experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,10 +168,11 @@ impl ClusterRunReport {
 /// interval driver's hot loops (receiver pooling, regime classification,
 /// digest dup-detection, balancing-phase lists) write into these compact
 /// buffers instead of allocating fresh `Vec`s each interval. After the
-/// first interval every buffer sits at steady-state capacity, so the
-/// interval loop runs allocation-free. Purely an execution detail:
-/// contents and iteration order match the allocating formulation exactly,
-/// keeping reports and traces byte-identical.
+/// first interval every buffer here sits at steady-state capacity; the
+/// interval still allocates outside them (see DESIGN, "Scratch buffers").
+/// Purely an execution detail: contents and iteration order match the
+/// allocating formulation exactly, keeping reports and traces
+/// byte-identical.
 #[derive(Debug, Clone, Default)]
 struct IntervalScratch {
     /// Balancing-phase working buffers (rosters, partner lists, app sets).
@@ -540,82 +552,25 @@ impl Cluster {
             if !self.servers[i].is_awake() {
                 continue;
             }
+            let here = ServerId(i as u32);
             let n_apps = self.servers[i].app_count();
             let mut retire = false;
             for a in 0..n_apps {
                 let r = self.rng.next_f64();
                 if r < self.config.growth_prob {
                     // Growth request of U(0, λ].
-                    let (app_id, demand, lambda, image) = {
+                    let (app, demand, lambda, image) = {
                         let app = &self.servers[i].apps()[a];
                         (app.id, app.demand, app.lambda, app.vm_image_gib)
                     };
                     let delta = self.rng.uniform(0.0, lambda);
-                    if demand + delta > vm_cap {
-                        // The VM is at its size ceiling: the application
-                        // must **scale out** — a new VM on another, lightly
-                        // loaded server (the paper's horizontal scaling:
-                        // "creation of additional VMs … on lightly loaded
-                        // servers"). The VM image travels, so this is an
-                        // in-cluster decision.
-                        let slot = pool
-                            .iter_mut()
-                            .find(|(id, room)| *id != ServerId(i as u32) && *room >= delta);
-                        match slot {
-                            Some((rx_id, room)) => {
-                                let rx = *rx_id;
-                                *room -= delta;
-                                let new_lambda = self.rng.uniform(
-                                    self.config.workload.lambda_lo,
-                                    self.config.workload.lambda_hi,
-                                );
-                                let vm = Application::new(
-                                    self.ids.alloc(),
-                                    delta.clamp(VM_RETIRE_FLOOR, 1.0),
-                                    new_lambda,
-                                    image,
-                                );
-                                let cost = self.config.migration.cost_of(&vm);
-                                self.migration_energy_j += cost.energy_j;
-                                self.migrations += 1;
-                                self.servers[rx.index()].migrations_in += 1;
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Migration {
-                                        from: i as u32,
-                                        to: rx.0,
-                                        app: vm.id.0,
-                                        demand: vm.demand,
-                                    },
-                                );
-                                self.interval_migrations.push(MigrationRecord {
-                                    from: ServerId(i as u32),
-                                    to: rx,
-                                    app: vm.id,
-                                    demand: vm.demand,
-                                    cost,
-                                });
-                                self.servers[rx.index()].place_app(vm);
-                                self.ledger.record(DecisionKind::InClusterHorizontal);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::InClusterHorizontal.label(),
-                                    },
-                                );
-                            }
-                            None => {
-                                self.ledger.record(DecisionKind::Deferred);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::Deferred.label(),
-                                    },
-                                );
-                            }
-                        }
-                    } else if self.servers[i].load() + delta
-                        <= self.servers[i].boundaries().sopt_high
+                    // A VM at its size ceiling must **scale out**: a new VM
+                    // for the growth on another, lightly loaded server (the
+                    // paper's horizontal scaling: "creation of additional
+                    // VMs … on lightly loaded servers").
+                    let scale_out = demand + delta > vm_cap;
+                    if !scale_out
+                        && self.servers[i].load() + delta <= self.servers[i].boundaries().sopt_high
                     {
                         // Vertical scaling is feasible while the server has
                         // free capacity — up to the suboptimal-high edge;
@@ -623,80 +578,59 @@ impl Cluster {
                         // the server leaves its optimal band. Grow in place.
                         self.servers[i].apps_mut()[a].demand += delta;
                         self.servers[i].refresh_load();
-                        self.ledger.record(DecisionKind::LocalVertical);
-                        tracer.event(
-                            self.now.ticks(),
-                            TraceEventKind::Decision {
-                                decision: DecisionKind::LocalVertical.label(),
-                            },
+                        decide(
+                            &mut self.ledger,
+                            tracer,
+                            self.now,
+                            DecisionKind::LocalVertical,
                         );
-                    } else {
-                        // No local headroom: migrate the grown VM elsewhere.
-                        let grown = demand + delta;
-                        let slot = pool
-                            .iter_mut()
-                            .find(|(id, room)| *id != ServerId(i as u32) && *room >= grown);
-                        // Take the app before reserving receiver room so a
-                        // missing app degrades to a deferred decision
-                        // instead of leaking pool capacity.
-                        let taken = match slot {
-                            Some((rx_id, room)) => match self.servers[i].take_app(app_id) {
-                                Some(app) => {
-                                    let rx = *rx_id;
-                                    *room -= grown;
-                                    Some((rx, app))
-                                }
-                                None => None,
-                            },
-                            None => None,
-                        };
-                        match taken {
-                            Some((rx, mut app)) => {
-                                app.demand = grown;
-                                let cost = self.config.migration.cost_of(&app);
-                                self.migration_energy_j += cost.energy_j;
-                                self.migrations += 1;
-                                self.servers[i].migrations_out += 1;
-                                self.servers[rx.index()].migrations_in += 1;
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Migration {
-                                        from: i as u32,
-                                        to: rx.0,
-                                        app: app.id.0,
-                                        demand: app.demand,
-                                    },
+                        continue;
+                    }
+                    // Horizontal scaling, an in-cluster decision: the new VM
+                    // (scale-out) or, with no local headroom, the grown VM
+                    // itself moves to a pool receiver; the VM image travels.
+                    let need = if scale_out { delta } else { demand + delta };
+                    let slot = pool
+                        .iter_mut()
+                        .find(|(id, room)| *id != here && *room >= need);
+                    let moved = match slot {
+                        Some((rx, room)) => {
+                            let (servers, model) = (&mut self.servers, &self.config.migration);
+                            let (now, records) = (self.now, &mut self.interval_migrations);
+                            let rec = if scale_out {
+                                let lambda = self.rng.uniform(
+                                    self.config.workload.lambda_lo,
+                                    self.config.workload.lambda_hi,
                                 );
-                                self.interval_migrations.push(MigrationRecord {
-                                    from: ServerId(i as u32),
-                                    to: rx,
-                                    app: app.id,
-                                    demand: app.demand,
-                                    cost,
-                                });
-                                self.servers[rx.index()].place_app(app);
-                                self.ledger.record(DecisionKind::InClusterHorizontal);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::InClusterHorizontal.label(),
-                                    },
-                                );
-                                // The app vacated slot `a`; stop iterating
-                                // this server's tail conservatively
-                                // (swap_remove reordered the apps).
-                                break;
+                                let demand = delta.clamp(VM_RETIRE_FLOOR, 1.0);
+                                let vm = Application::new(self.ids.alloc(), demand, lambda, image);
+                                Some(land(servers, here, *rx, vm, model, now, tracer, records))
+                            } else {
+                                // A missing app degrades to a deferred
+                                // decision instead of leaking pool room.
+                                migrate(servers, here, *rx, app, delta, model, now, tracer, records)
+                            };
+                            if rec.is_some() {
+                                *room -= need;
                             }
-                            None => {
-                                self.ledger.record(DecisionKind::Deferred);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::Deferred.label(),
-                                    },
-                                );
-                            }
+                            rec
                         }
+                        None => None,
+                    };
+                    let kind = match moved {
+                        Some(rec) => {
+                            self.migration_energy_j += rec.cost.energy_j;
+                            self.migrations += 1;
+                            DecisionKind::InClusterHorizontal
+                        }
+                        None => DecisionKind::Deferred,
+                    };
+                    decide(&mut self.ledger, tracer, self.now, kind);
+                    if moved.is_some() && !scale_out {
+                        // The grown VM vacated slot `a`; stop iterating this
+                        // server's tail conservatively (swap_remove
+                        // reordered the apps).
+                        break;
                     }
                 } else if r < self.config.growth_prob + self.config.shrink_prob {
                     // Silent decay of U(0, λ]; idle VMs are decommissioned.

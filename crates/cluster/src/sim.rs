@@ -153,7 +153,7 @@ impl TimedRunReport {
     /// Service interruption per reallocation interval, demand-seconds;
     /// zero for zero-interval runs.
     pub fn downtime_per_interval(&self) -> f64 {
-        if self.base.ratio_series.len() == 0 {
+        if self.base.ratio_series.is_empty() {
             0.0
         } else {
             self.downtime_demand_seconds / self.base.ratio_series.len() as f64

@@ -44,9 +44,6 @@ pub const RETRY_COST_MTOKENS: u64 = 1000;
 /// The full resilience configuration of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Master switch. `false` short-circuits every mechanism and makes
-    /// the layer a structural no-op regardless of the other fields.
-    pub enabled: bool,
     /// Deadline per class as a multiple of its latency objective
     /// (gold 0.5 s × 2.0 → 1.0 s deadline). `0.0` disables the
     /// dispatch-time deadline guard.
@@ -65,7 +62,6 @@ impl ResiliencePolicy {
     /// The structural no-op default: every mechanism off.
     pub fn disabled() -> Self {
         ResiliencePolicy {
-            enabled: false,
             deadline_objective_multiplier: 0.0,
             retry: RetryPolicy::disabled(),
             hedge: HedgePolicy::disabled(),
@@ -79,7 +75,6 @@ impl ResiliencePolicy {
     /// shedding — the middle column of the EXPERIMENTS "RS" sweep.
     pub fn retry_only() -> Self {
         ResiliencePolicy {
-            enabled: true,
             deadline_objective_multiplier: 0.0,
             retry: RetryPolicy::default_enabled(),
             hedge: HedgePolicy::disabled(),
@@ -93,7 +88,6 @@ impl ResiliencePolicy {
     /// bronze-first shedding.
     pub fn full() -> Self {
         ResiliencePolicy {
-            enabled: true,
             deadline_objective_multiplier: 2.0,
             retry: RetryPolicy::default_enabled(),
             hedge: HedgePolicy::default_enabled(),
@@ -105,7 +99,7 @@ impl ResiliencePolicy {
     /// The deadline for a request with the given class objective, or
     /// `None` when the deadline guard is off.
     pub fn deadline_s(&self, objective_s: f64) -> Option<f64> {
-        if self.enabled && self.deadline_objective_multiplier > 0.0 {
+        if self.deadline_objective_multiplier > 0.0 {
             Some(objective_s * self.deadline_objective_multiplier)
         } else {
             None
@@ -581,7 +575,6 @@ mod tests {
     #[test]
     fn disabled_policy_turns_everything_off() {
         let p = ResiliencePolicy::disabled();
-        assert!(!p.enabled);
         assert_eq!(p.deadline_s(0.5), None);
         assert!(!p.retry.enabled);
         assert!(!p.hedge.enabled);

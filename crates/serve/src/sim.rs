@@ -537,7 +537,7 @@ fn on_tick<T: Tracer>(state: &mut ServeState, sched: &mut Sched<'_, T>, cfg: &Se
             Change::Joined(server) => {
                 // A rejoin (recovery or wake) is fresh evidence: close
                 // any breaker still open on the server.
-                if res.enabled && res.breaker.enabled && state.breakers.reset(*server) {
+                if res.breaker.enabled && state.breakers.reset(*server) {
                     state.counters.breaker_closes += 1;
                     if sched.tracer().enabled() {
                         sched.tracer().event(
@@ -586,7 +586,7 @@ fn on_arrival<T: Tracer>(
     // Every admission refills the retry budget, then the request takes
     // its first dispatch attempt through the resilience stack (which
     // degrades to the plain route/reject path when disabled).
-    if cfg.resilience.enabled && cfg.resilience.retry.enabled {
+    if cfg.resilience.retry.enabled {
         state.budget.deposit();
     }
     dispatch_attempt(
@@ -633,7 +633,7 @@ fn dispatch_attempt<T: Tracer>(
     let now = sched.now();
     let now_ticks = now.ticks();
     let res = &cfg.resilience;
-    let breakers_on = res.enabled && res.breaker.enabled;
+    let breakers_on = res.breaker.enabled;
 
     // Open windows elapse lazily, checked at dispatch time: an expired
     // breaker moves to half-open (routable probe) before the pick.
@@ -702,7 +702,7 @@ fn dispatch_attempt<T: Tracer>(
 
     // SLA-class shedding is terminal, not retriable: the point is to
     // drop load, and a retry would put it straight back.
-    if res.enabled && res.shed.enabled && backlog_s > res.shed.watermark_s(class as usize) {
+    if res.shed.enabled && backlog_s > res.shed.watermark_s(class as usize) {
         state.counters.record_shed(class as usize);
         state.rejected += 1;
         state.sla.record_rejected(class as usize);
@@ -817,7 +817,7 @@ fn dispatch_attempt<T: Tracer>(
     // Gold hedge: when the primary's predicted latency is slow, race a
     // duplicate on the least-backlogged alternate; first completion
     // wins, the straggler is absorbed. The duplicate costs real energy.
-    if res.enabled && res.hedge.enabled && class == 0 && attempt == 0 {
+    if res.hedge.enabled && class == 0 && attempt == 0 {
         let predicted_s = backlog_s + eff;
         if predicted_s > res.hedge.threshold_s {
             let hedge_set = if use_filtered {
@@ -892,7 +892,7 @@ fn hedge_alternate(
             continue;
         }
         let backlog = queues.backlog(now, inst.id).ticks();
-        if best.map_or(true, |(b, _)| backlog < b) {
+        if best.is_none_or(|(b, _)| backlog < b) {
             best = Some((backlog, inst.id));
         }
     }
@@ -917,7 +917,7 @@ fn fail_attempt<T: Tracer>(
     let now_ticks = sched.now().ticks();
     let res = &cfg.resilience;
     let next = (attempt & !HEDGE_BIT) + 1;
-    if res.enabled && res.retry.enabled && next <= res.retry.max_attempts {
+    if res.retry.enabled && next <= res.retry.max_attempts {
         if state.budget.try_withdraw() {
             state.counters.retries += 1;
             let schedule = BackoffSchedule::new(state.seed, RequestId(request), &res.retry);
@@ -1015,10 +1015,10 @@ fn on_completion<T: Tracer>(
         }
     }
     let res = &cfg.resilience;
-    if res.enabled && res.breaker.enabled {
+    if res.breaker.enabled {
         state.breakers.record_success(server);
     }
-    if res.enabled && res.hedge.enabled {
+    if res.hedge.enabled {
         if let Some(track) = state.hedges.get_mut(&request) {
             track.outstanding -= 1;
             let first = !track.resolved;
@@ -1087,7 +1087,7 @@ fn on_crash<T: Tracer>(
     state.changes = changes;
     // Crash evidence trips the breaker straight to open, so retries of
     // the killed requests route elsewhere even before the next refresh.
-    if res.enabled && res.breaker.enabled && state.breakers.trip(server, now, &res.breaker) {
+    if res.breaker.enabled && state.breakers.trip(server, now, &res.breaker) {
         state.counters.breaker_opens += 1;
         if sched.tracer().enabled() {
             sched.tracer().event(
@@ -1103,7 +1103,7 @@ fn on_crash<T: Tracer>(
     for victim in &victims {
         state.killed.insert((victim.request, victim.attempt));
         let mut terminal = true;
-        if res.enabled && res.hedge.enabled {
+        if res.hedge.enabled {
             if let Some(track) = state.hedges.get_mut(&victim.request) {
                 track.outstanding -= 1;
                 let resolved = track.resolved;

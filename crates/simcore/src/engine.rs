@@ -18,7 +18,7 @@
 
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
 
-use crate::event::{EventQueue, Priority};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// The scheduling interface handed to event handlers.
@@ -67,18 +67,6 @@ impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
         self.queue.schedule(at, event);
     }
 
-    /// Schedules with an explicit same-instant priority.
-    #[inline]
-    pub fn schedule_at_with(&mut self, at: SimTime, prio: Priority, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        self.tracer.counter("engine.scheduled", 1);
-        self.queue.schedule_with(at, prio, event);
-    }
-
     /// Number of currently pending events.
     #[inline]
     pub fn pending(&self) -> usize {
@@ -89,12 +77,8 @@ impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
 /// Outcome of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The pending-event set drained before any limit was hit.
+    /// The pending-event set drained.
     Drained,
-    /// The time horizon was reached.
-    HorizonReached,
-    /// The event-count budget was exhausted (runaway-schedule backstop).
-    EventBudgetExhausted,
     /// A handler requested an early stop.
     Stopped,
 }
@@ -104,8 +88,6 @@ impl RunOutcome {
     pub fn label(self) -> &'static str {
         match self {
             RunOutcome::Drained => "drained",
-            RunOutcome::HorizonReached => "horizon",
-            RunOutcome::EventBudgetExhausted => "budget",
             RunOutcome::Stopped => "stopped",
         }
     }
@@ -126,8 +108,6 @@ pub enum Control {
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    horizon: SimTime,
-    event_budget: u64,
     events_processed: u64,
 }
 
@@ -138,13 +118,11 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine with no horizon and a very large event budget.
+    /// Creates an engine at time zero with nothing pending.
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            horizon: SimTime::MAX,
-            event_budget: u64::MAX,
             events_processed: 0,
         }
     }
@@ -158,19 +136,6 @@ impl<E> Engine<E> {
             queue: EventQueue::with_capacity(capacity),
             ..Self::new()
         }
-    }
-
-    /// Sets the time horizon: events strictly after `horizon` are not
-    /// processed (they stay pending).
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Sets a hard cap on the number of processed events.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
     }
 
     /// The current simulated instant.
@@ -189,12 +154,8 @@ impl<E> Engine<E> {
         self.queue.schedule(at, event);
     }
 
-    /// Schedules an initial event with a same-instant priority.
-    pub fn schedule_at_with(&mut self, at: SimTime, prio: Priority, event: E) {
-        self.queue.schedule_with(at, prio, event);
-    }
-
-    /// Runs the loop until drained, horizon, budget, or handler stop.
+    /// Runs the loop until the queue drains or a handler (or an aborting
+    /// tracer) stops it.
     ///
     /// The handler receives each event together with a [`Scheduler`] for
     /// follow-up scheduling and a `&mut S` simulation state.
@@ -219,22 +180,16 @@ impl<E> Engine<E> {
         tracer.span_enter(self.now.ticks(), SpanKind::Engine);
         tracer.event(self.now.ticks(), TraceEventKind::EngineStarted);
         let outcome = loop {
-            match self.queue.peek_time() {
-                None => break RunOutcome::Drained,
-                Some(t) if t > self.horizon => break RunOutcome::HorizonReached,
-                Some(_) => {}
-            }
-            if self.events_processed >= self.event_budget {
-                break RunOutcome::EventBudgetExhausted;
+            if self.queue.is_empty() {
+                break RunOutcome::Drained;
             }
             // An invariant-checking tracer can stop the run as soon as a
-            // violation is detected; the default `false` lets this poll
-            // monomorphize away for `NoTrace`.
+            // violation is detected, leaving the rest pending; the default
+            // `false` lets this poll monomorphize away for `NoTrace`.
             if tracer.abort_requested() {
                 break RunOutcome::Stopped;
             }
-            // The peek above saw an event; a racing-free single-threaded
-            // queue cannot lose it, but drain gracefully rather than panic.
+            // Not empty (checked above); drain rather than panic anyway.
             let Some((at, event)) = self.queue.pop() else {
                 break RunOutcome::Drained;
             };
@@ -293,16 +248,19 @@ mod tests {
 
     #[test]
     fn self_scheduling_chain_advances_clock() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_secs(10));
+        let mut engine = Engine::new();
         engine.schedule_at(SimTime::ZERO, Ev::Tick(0));
         let mut count = 0u32;
         let outcome = engine.run(&mut count, |count, s, _ev| {
             *count += 1;
+            if s.now() == SimTime::from_secs(10) {
+                return Control::Stop;
+            }
             s.schedule_in(SimDuration::from_secs(1), Ev::Tick(*count));
             Control::Continue
         });
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        // Events at t = 0..=10 inclusive fire; t = 11 exceeds the horizon.
+        assert_eq!(outcome, RunOutcome::Stopped);
+        // Events at t = 0..=10 inclusive fire; the handler stops at t = 10.
         assert_eq!(count, 11);
         assert_eq!(engine.now(), SimTime::from_secs(10));
     }
@@ -323,20 +281,6 @@ mod tests {
         });
         assert_eq!(outcome, RunOutcome::Stopped);
         assert_eq!(seen, vec![1]);
-    }
-
-    #[test]
-    fn event_budget_backstops_runaway_schedules() {
-        let mut engine = Engine::new().with_event_budget(100);
-        engine.schedule_at(SimTime::ZERO, Ev::Tick(0));
-        let outcome = engine.run(&mut (), |_, s, _| {
-            // Pathological: schedules two follow-ups per event.
-            s.schedule_in(SimDuration::from_secs(1), Ev::Tick(0));
-            s.schedule_in(SimDuration::from_secs(1), Ev::Tick(0));
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
-        assert_eq!(engine.events_processed(), 100);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The pending-event set.
 //!
-//! [`EventQueue`] is a binary min-heap keyed on `(time, priority, seq)`.
-//! The sequence number breaks ties **deterministically in insertion order**,
+//! [`EventQueue`] is a binary min-heap keyed on `(time, seq)`. The
+//! sequence number breaks ties **deterministically in insertion order**,
 //! which is essential for reproducibility: two events scheduled for the same
 //! instant always fire in the order they were scheduled, on every platform
 //! and every run.
@@ -10,27 +10,10 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Scheduling priority for events that share a timestamp. Lower values fire
-/// first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Priority(pub u8);
-
-impl Priority {
-    /// Fires before everything else at the same instant (e.g. measurement
-    /// snapshots that must observe pre-transition state).
-    pub const FIRST: Priority = Priority(0);
-    /// Default priority.
-    pub const NORMAL: Priority = Priority(128);
-    /// Fires after everything else at the same instant (e.g. end-of-interval
-    /// bookkeeping).
-    pub const LAST: Priority = Priority(255);
-}
-
 /// A scheduled entry: payload `T` plus its firing key.
 #[derive(Debug, Clone)]
 struct Scheduled<T> {
     at: SimTime,
-    prio: Priority,
     seq: u64,
     payload: T,
 }
@@ -44,8 +27,8 @@ impl<T> Eq for Scheduled<T> {}
 
 impl<T> Scheduled<T> {
     #[inline]
-    fn key(&self) -> (SimTime, Priority, u64) {
-        (self.at, self.prio, self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -92,21 +75,12 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedules `payload` to fire at `at` with [`Priority::NORMAL`].
+    /// Schedules `payload` to fire at `at`, after everything already
+    /// scheduled for the same instant.
     pub fn schedule(&mut self, at: SimTime, payload: T) {
-        self.schedule_with(at, Priority::NORMAL, payload);
-    }
-
-    /// Schedules `payload` at `at` with an explicit same-instant priority.
-    pub fn schedule_with(&mut self, at: SimTime, prio: Priority, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            prio,
-            seq,
-            payload,
-        });
+        self.heap.push(Scheduled { at, seq, payload });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -162,24 +136,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn priority_overrides_insertion_order_within_instant() {
-        let mut q = EventQueue::new();
-        q.schedule_with(t(2), Priority::LAST, "last");
-        q.schedule_with(t(2), Priority::NORMAL, "normal");
-        q.schedule_with(t(2), Priority::FIRST, "first");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec!["first", "normal", "last"]);
-    }
-
-    #[test]
-    fn time_dominates_priority() {
-        let mut q = EventQueue::new();
-        q.schedule_with(t(1), Priority::LAST, "early-low-prio");
-        q.schedule_with(t(2), Priority::FIRST, "late-high-prio");
-        assert_eq!(q.pop().unwrap().1, "early-low-prio");
     }
 
     #[test]

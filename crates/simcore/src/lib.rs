@@ -21,14 +21,18 @@
 //! ```
 //! use ecolb_simcore::prelude::*;
 //!
-//! let mut engine: Engine<u32> = Engine::new().with_horizon(SimTime::from_secs(5));
+//! let mut engine: Engine<u32> = Engine::new();
 //! engine.schedule_at(SimTime::ZERO, 0);
 //! let mut fired = 0u32;
-//! engine.run(&mut fired, |fired, sched, _ev| {
+//! let outcome = engine.run(&mut fired, |fired, sched, _ev| {
 //!     *fired += 1;
+//!     if sched.now() == SimTime::from_secs(5) {
+//!         return Control::Stop;
+//!     }
 //!     sched.schedule_in(SimDuration::from_secs(1), *fired);
 //!     Control::Continue
 //! });
+//! assert_eq!(outcome, RunOutcome::Stopped);
 //! assert_eq!(fired, 6); // t = 0,1,2,3,4,5
 //! ```
 
@@ -50,13 +54,13 @@ pub mod prelude {
         Weibull, Zipf,
     };
     pub use crate::engine::{Control, Engine, RunOutcome, Scheduler};
-    pub use crate::event::{EventQueue, Priority};
+    pub use crate::event::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::time::{SimDuration, SimTime};
 }
 
 pub use dist::Distribution;
 pub use engine::{Control, Engine, RunOutcome, Scheduler};
-pub use event::{EventQueue, Priority};
+pub use event::EventQueue;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

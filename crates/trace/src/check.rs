@@ -291,29 +291,36 @@ impl InvariantChecker {
         self.next_seq += 1;
     }
 
-    fn check_digest(
-        &mut self,
-        at: u64,
-        interval: u64,
-        hosted: u64,
-        dup_hosted: u64,
-        created: u64,
-        retired: u64,
-        orphaned: u64,
-        imported: u64,
-        exported: u64,
-        awake: u32,
-        sleeping: u32,
-        crashed: u32,
-        sleeping_hosting: u32,
-        leader: u32,
-        leader_crashed: bool,
-        epoch: u64,
-        energy_j: f64,
-        class_energy_j: [f64; 3],
-        migration_energy_j: f64,
-        saturation: u64,
-    ) {
+    /// Checks one `state_digest` event (any other kind is ignored).
+    fn check_digest(&mut self, at: u64, digest: &TraceEventKind) {
+        let TraceEventKind::StateDigest {
+            interval,
+            hosted,
+            dup_hosted,
+            queued: _,
+            created,
+            retired,
+            orphaned,
+            imported,
+            exported,
+            awake,
+            sleeping,
+            crashed,
+            sleeping_hosting,
+            leader,
+            leader_crashed,
+            epoch,
+            energy_j,
+            energy_volume_j,
+            energy_midrange_j,
+            energy_highend_j,
+            energy_migration_j: migration_energy_j,
+            saturation,
+        } = *digest
+        else {
+            return;
+        };
+        let class_energy_j = [energy_volume_j, energy_midrange_j, energy_highend_j];
         self.digests_checked += 1;
 
         // -- shed_accounting (balance at interval close) ------------------
@@ -711,51 +718,7 @@ impl InvariantChecker {
                 self.failovers_since_digest.push(new_leader);
                 self.leaderless_streak = 0;
             }
-            TraceEventKind::StateDigest {
-                interval,
-                hosted,
-                dup_hosted,
-                queued: _,
-                created,
-                retired,
-                orphaned,
-                imported,
-                exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader,
-                leader_crashed,
-                epoch,
-                energy_j,
-                energy_volume_j,
-                energy_midrange_j,
-                energy_highend_j,
-                energy_migration_j,
-                saturation,
-            } => self.check_digest(
-                at,
-                interval,
-                hosted,
-                dup_hosted,
-                created,
-                retired,
-                orphaned,
-                imported,
-                exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader,
-                leader_crashed,
-                epoch,
-                energy_j,
-                [energy_volume_j, energy_midrange_j, energy_highend_j],
-                energy_migration_j,
-                saturation,
-            ),
+            TraceEventKind::StateDigest { .. } => self.check_digest(at, kind),
             TraceEventKind::BreakerOpened { server } => {
                 if self.breaker_open(server) {
                     self.report(
@@ -796,15 +759,13 @@ impl InvariantChecker {
                     );
                 }
             }
-            TraceEventKind::RequestHedge { request, server } => {
-                if self.breaker_open(server) {
-                    self.report(
-                        at,
-                        "breaker_routing",
-                        server,
-                        format!("request {request} hedged to open-breaker server {server}"),
-                    );
-                }
+            TraceEventKind::RequestHedge { request, server } if self.breaker_open(server) => {
+                self.report(
+                    at,
+                    "breaker_routing",
+                    server,
+                    format!("request {request} hedged to open-breaker server {server}"),
+                );
             }
             TraceEventKind::RequestRetry {
                 request, attempt, ..

@@ -28,7 +28,7 @@ pub enum TraceEventKind {
     EngineStarted,
     /// The engine run-loop ended with the given outcome label.
     EngineFinished {
-        /// `"drained"`, `"horizon"`, `"budget"` or `"stopped"`.
+        /// `"drained"` or `"stopped"`.
         outcome: &'static str,
         /// Total events the engine has processed (lifetime counter).
         events: u64,
