@@ -88,11 +88,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// The firing time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -139,13 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(t(4), ());
-        assert_eq!(q.peek_time(), Some(t(4)));
         assert_eq!(q.len(), 1);
         q.pop();
-        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
